@@ -14,7 +14,7 @@ import (
 
 // benchSystem is one persistent benchmark fixture: an overlay plus an
 // optimizer in steady state. It is cached across the benchmark framework's
-// calibration reruns so the BA generation, oracle warm-up (one Dijkstra
+// calibration reruns so the BA generation, oracle warm-up (one vector fill
 // per attachment point) and priming rebuild run once per configuration.
 type benchSystem struct {
 	net   *overlay.Network

@@ -12,11 +12,10 @@ type pqItem struct {
 
 // pq is a binary min-heap on dist, sifted directly on the slice.
 // container/heap would box every pqItem through `any` — one heap
-// allocation per push and per pop, the single largest allocation slab of
-// a large round (the oracle recomputes cost vectors through Dijkstra).
-// The sift loops mirror container/heap's up/down comparisons exactly, so
-// items with equal dist pop in the identical order and the parent trees
-// and MSTs built from them are unchanged.
+// allocation per push and per pop. The sift loops mirror container/heap's
+// up/down comparisons exactly, so items with equal dist pop in the
+// identical order and the parent trees and MSTs built from them are
+// unchanged.
 type pq []pqItem
 
 // push appends it and sifts it up.
@@ -89,51 +88,6 @@ func Dijkstra(g *Graph, src int) (dist []float64, parent []int) {
 		}
 	}
 	return dist, parent
-}
-
-// DijkstraScratch holds the working arrays of DijkstraDistInto so
-// repeated single-source computations (the delay oracle's vector fills)
-// reuse the distance slice and the heap instead of allocating two
-// words per node per call.
-type DijkstraScratch struct {
-	dist []float64
-	q    pq
-}
-
-// DijkstraDistInto is Dijkstra without the parent array, for callers
-// that need only distances: it computes single-source shortest-path
-// distances from src into scratch and returns the distance slice, which
-// is owned by scratch and valid until its next use. The relaxation
-// sequence is identical to Dijkstra's, so the distances are bit-equal.
-func DijkstraDistInto(s *DijkstraScratch, g *Graph, src int) []float64 {
-	n := g.N()
-	if cap(s.dist) < n {
-		s.dist = make([]float64, n)
-	}
-	dist := s.dist[:n]
-	for i := range dist {
-		dist[i] = Inf
-	}
-	if src < 0 || src >= n {
-		return dist
-	}
-	dist[src] = 0
-	q := s.q[:0]
-	q.push(pqItem{node: src})
-	for len(q) > 0 {
-		it := q.pop()
-		if it.dist > dist[it.node] {
-			continue // stale entry
-		}
-		for _, a := range g.Neighbors(it.node) {
-			if nd := it.dist + a.W; nd < dist[a.To] {
-				dist[a.To] = nd
-				q.push(pqItem{node: a.To, dist: nd})
-			}
-		}
-	}
-	s.q = q[:0]
-	return dist
 }
 
 // PathTo reconstructs the shortest path src→dst from a Dijkstra parent

@@ -1,7 +1,8 @@
 // Package graph provides the weighted-graph primitives shared by the
 // physical-topology substrate and the ACE optimizer: compact adjacency
-// storage, Dijkstra shortest paths, Prim and Kruskal minimum spanning
-// trees, bounded-depth closures, and connectivity checks.
+// storage, Dijkstra shortest paths and a bucketed shortest-path kernel
+// over a frozen CSR copy, Prim and Kruskal minimum spanning trees,
+// bounded-depth closures, and connectivity checks.
 package graph
 
 import "fmt"
@@ -41,14 +42,19 @@ func (g *Graph) N() int { return len(g.adj) }
 func (g *Graph) M() int { return g.edges }
 
 // AddEdge adds an undirected edge u—v with weight w. It panics on
-// out-of-range nodes or self-loops: both indicate construction bugs, not
-// runtime conditions.
+// out-of-range nodes, self-loops, and NaN or negative weights: all
+// indicate construction bugs, not runtime conditions. A negative edge
+// of an undirected graph is a negative cycle, on which no shortest-path
+// kernel here terminates.
 func (g *Graph) AddEdge(u, v int, w float64) {
 	if u < 0 || v < 0 || u >= len(g.adj) || v >= len(g.adj) {
 		panic(fmt.Sprintf("graph: edge (%d,%d) out of range [0,%d)", u, v, len(g.adj)))
 	}
 	if u == v {
 		panic(fmt.Sprintf("graph: self-loop at %d", u))
+	}
+	if !(w >= 0) {
+		panic(fmt.Sprintf("graph: edge (%d,%d) weight %v is NaN or negative", u, v, w))
 	}
 	g.adj[u] = append(g.adj[u], Arc{To: v, W: w})
 	g.adj[v] = append(g.adj[v], Arc{To: u, W: w})

@@ -207,7 +207,7 @@ func (n *Network) CostsFrom(p PeerID) CostView {
 }
 
 // CostsFromCached returns a cost view rooted at p only when p's distance
-// vector is already cached, never triggering a Dijkstra. When ok, the
+// vector is already cached, never triggering a vector fill. When ok, the
 // view resolves costs exactly as Cost(p, q) would (the oracle prefers the
 // source's vector whenever it exists), so callers can batch per-source
 // lookups without changing any returned value — and fall back to Cost

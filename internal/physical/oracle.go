@@ -2,11 +2,14 @@
 // metric ACE measures in Phase 1: the cost between two peers is the delay
 // of the shortest physical path between their attachment nodes.
 //
-// The oracle runs one Dijkstra per queried source node over the physical
-// graph and caches the resulting distance vector (float32, ~4 bytes per
-// physical node), optionally bounded. Static experiments query the same
-// few thousand attachment points repeatedly, so the cache converges to
-// one vector per live peer.
+// The oracle runs one single-source shortest-path sweep per queried
+// source node and caches the resulting distance vector (float32, ~4 bytes
+// per physical node), optionally bounded. The sweep is graph.CSR.SSSP, a
+// bucketed kernel over a CSR copy of the physical graph frozen in
+// NewOracle; its float64 distances are bit-identical to graph.Dijkstra's,
+// so every cached vector is too. Static experiments query the same few
+// thousand attachment points repeatedly, so the cache converges to one
+// vector per live peer.
 package physical
 
 import (
@@ -25,7 +28,8 @@ import (
 // rebuild workers) never serialize on the mutex once the cache is warm.
 type Oracle struct {
 	g   *graph.Graph
-	cap int // max cached vectors; 0 = unbounded
+	csr *graph.CSR // g frozen for the vector fills
+	cap int        // max cached vectors; 0 = unbounded
 
 	mu    sync.RWMutex
 	cache map[int][]float32
@@ -37,9 +41,10 @@ type Oracle struct {
 	// read lock per delay lookup.
 	flat []atomic.Pointer[[]float32]
 
-	// scratch pools DijkstraScratch instances across concurrent vector
-	// fills: a fill's float64 working distances and heap are reused,
-	// leaving only the cached float32 vector as a per-source allocation.
+	// scratch pools SSSPScratch instances across concurrent vector
+	// fills: a fill's float64 working distances and bucket ring are
+	// reused, leaving only the cached float32 vector as a per-source
+	// allocation.
 	scratch sync.Pool
 
 	// Activity counters live in the obs registry (ace.physical.*) as
@@ -53,7 +58,8 @@ type Oracle struct {
 }
 
 // Stats is a snapshot of oracle activity counters, for overhead reporting
-// and tests.
+// and tests. Dijkstras counts distance-vector fills, one shortest-path
+// sweep each.
 type Stats struct {
 	Queries   uint64
 	Dijkstras uint64
@@ -70,10 +76,11 @@ func (s Stats) HitRatio() float64 {
 }
 
 // NewOracle returns an oracle over the physical graph g. cacheCap bounds
-// the number of cached source vectors (0 means unbounded).
+// the number of cached source vectors (0 means unbounded). The vector
+// fills run over a copy of g frozen here, so g must not change afterwards.
 func NewOracle(g *graph.Graph, cacheCap int) *Oracle {
 	o := &Oracle{
-		g: g, cap: cacheCap, cache: make(map[int][]float32),
+		g: g, csr: graph.NewCSR(g), cap: cacheCap, cache: make(map[int][]float32),
 		queries:   obs.NewAlwaysCounter("ace.physical.queries"),
 		dijkstras: obs.NewAlwaysCounter("ace.physical.dijkstras"),
 		evictions: obs.NewAlwaysCounter("ace.physical.evictions"),
@@ -131,11 +138,11 @@ func (o *Oracle) Delay(u, v int) float64 {
 // vector returns the cached distance vector for src, computing and
 // inserting it if absent.
 func (o *Oracle) vector(src int) []float32 {
-	s, _ := o.scratch.Get().(*graph.DijkstraScratch)
+	s, _ := o.scratch.Get().(*graph.SSSPScratch)
 	if s == nil {
-		s = new(graph.DijkstraScratch)
+		s = new(graph.SSSPScratch)
 	}
-	dist := graph.DijkstraDistInto(s, o.g, src)
+	dist := o.csr.SSSP(s, src)
 	vec := make([]float32, len(dist))
 	for i, d := range dist {
 		vec[i] = float32(d)

@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"ace/internal/graph"
+	"ace/internal/sim"
+	"ace/internal/topology"
 )
 
 // benchGraph is a 2048-node ring with chords — cheap to build, nontrivial
@@ -55,4 +57,28 @@ func BenchmarkDelayWarmParallel(b *testing.B) {
 	if st := o.Stats(); st.Queries == 0 {
 		b.Fatal("stats counters not advancing")
 	}
+}
+
+// BenchmarkOracleFill fills every distance vector of a 4k-node BA
+// topology (DefaultBASpec, NewSystem's seed-1 "phys" stream) through
+// Oracle.Warm with GOMAXPROCS workers, as a system's set-up does, and
+// reports the cost per vector. Each iteration starts from a fresh oracle.
+func BenchmarkOracleFill(b *testing.B) {
+	phys, err := topology.GenerateBA(sim.NewRNG(1).Derive("phys"), topology.DefaultBASpec(4000))
+	if err != nil {
+		b.Fatal(err)
+	}
+	sources := make([]int, phys.Graph.N())
+	for i := range sources {
+		sources[i] = i
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		o := NewOracle(phys.Graph, 0)
+		o.Warm(sources, 0)
+		if o.CacheSize() != len(sources) {
+			b.Fatalf("filled %d vectors, want %d", o.CacheSize(), len(sources))
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(sources)), "ns/vector")
 }

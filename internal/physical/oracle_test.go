@@ -162,3 +162,37 @@ func TestTriangleInequalityProperty(t *testing.T) {
 		}
 	}
 }
+
+// TestVectorsMatchDijkstra: every vector the oracle fills — by several
+// Warm workers sharing the frozen graph and the scratch pool, and
+// lazily through a bounded cache — is float32 of graph.Dijkstra's
+// distances, bit for bit.
+func TestVectorsMatchDijkstra(t *testing.T) {
+	phys, err := topology.GenerateBA(sim.NewRNG(25), topology.DefaultBASpec(500))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := phys.Graph
+	want := make([][]float32, g.N())
+	srcs := make([]int, g.N())
+	for src := range want {
+		srcs[src] = src
+		dist, _ := graph.Dijkstra(g, src)
+		want[src] = make([]float32, len(dist))
+		for v, d := range dist {
+			want[src][v] = float32(d)
+		}
+	}
+	warm := NewOracle(g, 0)
+	warm.Warm(srcs, 4)
+	bounded := NewOracle(g, 16)
+	for src := range want {
+		for _, got := range [][]float32{warm.Vector(src), bounded.Vector(src)} {
+			for v := range got {
+				if math.Float32bits(got[v]) != math.Float32bits(want[src][v]) {
+					t.Fatalf("vector %d[%d] = %v, Dijkstra gives %v", src, v, got[v], want[src][v])
+				}
+			}
+		}
+	}
+}

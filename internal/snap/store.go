@@ -2,6 +2,7 @@ package snap
 
 import (
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 )
@@ -17,9 +18,23 @@ import (
 //
 // A kill before (3) leaves the old slot intact; a kill after leaves the
 // new one. Load prefers the newest decodable slot and falls back to the
-// other with a warning when the newest is torn or bit-rotted.
+// other with a warning when the newest is torn or bit-rotted. A Store
+// assumes it is the only writer of its directory, and Save is not safe
+// for concurrent use.
 type Store struct {
 	dir string
+	// last remembers the previous Save's slot while that slot holds the
+	// newest valid checkpoint, so the next Save can pick its target from
+	// one read and a checksum instead of decoding both slots.
+	last lastSave
+}
+
+// lastSave describes a slot written by this Store.
+type lastSave struct {
+	ok   bool
+	slot int
+	step int64  // Meta.Step of the checkpoint written
+	sum  uint32 // crc32c of the slot's bytes
 }
 
 // slotName returns the file name of slot i ∈ {0, 1}.
@@ -44,11 +59,35 @@ func (st *Store) Save(s *Snapshot) error {
 	if err != nil {
 		return err
 	}
-	target := 0
-	if _, slot, _, err := st.newestValid(); err == nil {
-		target = 1 - slot
+	target, newest, ok := st.target()
+	st.last = lastSave{}
+	if err := st.writeSlot(target, data); err != nil {
+		return err
 	}
-	return st.writeSlot(target, data)
+	// Remember the slot only while it is the one newestValid would pick
+	// (highest step, ties to slot 0).
+	if step := s.Meta.Step; !ok || step > newest || (step == newest && target == 0) {
+		st.last = lastSave{ok: true, slot: target, step: step, sum: crc32.Checksum(data, castagnoli)}
+	}
+	return nil
+}
+
+// target returns the slot Save overwrites, the one not holding the
+// newest valid checkpoint, with that checkpoint's step; ok is false
+// when no slot holds a valid checkpoint. While the remembered slot still
+// holds the bytes written there, it is the newest and the choice costs
+// one read and a checksum; otherwise both slots are decoded.
+func (st *Store) target() (slot int, newest int64, ok bool) {
+	if l := st.last; l.ok {
+		data, err := os.ReadFile(filepath.Join(st.dir, slotName(l.slot)))
+		if err == nil && crc32.Checksum(data, castagnoli) == l.sum {
+			return 1 - l.slot, l.step, true
+		}
+	}
+	if best, slot, _, err := st.newestValid(); err == nil {
+		return 1 - slot, best.Meta.Step, true
+	}
+	return 0, 0, false
 }
 
 func (st *Store) writeSlot(slot int, data []byte) error {

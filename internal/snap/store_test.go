@@ -172,3 +172,168 @@ func TestStoreSameStateSameBytes(t *testing.T) {
 		t.Fatal("identical states encoded to different bytes")
 	}
 }
+
+// slotStep decodes one slot file and returns its step, or -1 when the
+// slot is missing or does not decode.
+func slotStep(t *testing.T, st *Store, slot int) int64 {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join(st.Dir(), slotName(slot)))
+	if err != nil {
+		return -1
+	}
+	s, err := Decode(data)
+	if err != nil {
+		return -1
+	}
+	return s.Meta.Step
+}
+
+// TestStoreSaveRemembersSlot: with rising steps, saves alternate between
+// the slots, and each one remembers the slot it wrote with a checksum of
+// its bytes.
+func TestStoreSaveRemembersSlot(t *testing.T) {
+	st, err := OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := buildSnapshot(t, 23, 6)
+	for step := int64(1); step <= 5; step++ {
+		s.Meta.Step = step
+		if err := st.Save(s); err != nil {
+			t.Fatal(err)
+		}
+		slot := int(1 - step%2) // 0, 1, 0, 1, 0
+		if !st.last.ok || st.last.slot != slot || st.last.step != step {
+			t.Fatalf("after step %d: remembered %+v, want slot %d", step, st.last, slot)
+		}
+		if got := slotStep(t, st, slot); got != step {
+			t.Fatalf("step %d landed elsewhere: slot %d holds step %d", step, slot, got)
+		}
+		if step > 1 {
+			if got := slotStep(t, st, 1-slot); got != step-1 {
+				t.Fatalf("after step %d the other slot holds step %d, want %d", step, got, step-1)
+			}
+		}
+	}
+}
+
+// TestStoreSaveAfterRememberedSlotDamaged: when the remembered slot no
+// longer holds the bytes written there — corrupted or deleted between
+// saves — Save falls back to decoding both slots and, as before,
+// overwrites the damaged slot instead of the surviving checkpoint.
+func TestStoreSaveAfterRememberedSlotDamaged(t *testing.T) {
+	for _, damage := range []struct {
+		name string
+		hurt func(path string) error
+	}{
+		{"bitrot", func(path string) error {
+			data, err := os.ReadFile(path)
+			if err != nil {
+				return err
+			}
+			data[len(data)/2] ^= 0x40
+			return os.WriteFile(path, data, 0o644)
+		}},
+		{"deleted", os.Remove},
+	} {
+		t.Run(damage.name, func(t *testing.T) {
+			st, err := OpenStore(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := buildSnapshot(t, 29, 6)
+			for step := int64(1); step <= 2; step++ {
+				s.Meta.Step = step
+				if err := st.Save(s); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// Step 2 sits in slot 1, the remembered one.
+			if err := damage.hurt(filepath.Join(st.Dir(), slotName(1))); err != nil {
+				t.Fatal(err)
+			}
+			s.Meta.Step = 3
+			if err := st.Save(s); err != nil {
+				t.Fatal(err)
+			}
+			if a, b := slotStep(t, st, 0), slotStep(t, st, 1); a != 1 || b != 3 {
+				t.Fatalf("slots hold steps %d and %d, want 1 and 3", a, b)
+			}
+			s.Meta.Step = 4
+			if err := st.Save(s); err != nil {
+				t.Fatal(err)
+			}
+			if a, b := slotStep(t, st, 0), slotStep(t, st, 1); a != 4 || b != 3 {
+				t.Fatalf("slots hold steps %d and %d, want 4 and 3", a, b)
+			}
+		})
+	}
+}
+
+// TestStoreSaveEqualStepsKeepTieRule: at equal steps newestValid favors
+// slot 0, so repeated saves of one step keep overwriting slot 1, whether
+// the target comes from the remembered slot or from decoding both.
+func TestStoreSaveEqualStepsKeepTieRule(t *testing.T) {
+	st, err := OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := buildSnapshot(t, 31, 6)
+	s.Meta.Step = 7
+	for i := 0; i < 4; i++ {
+		s.Meta.Queries = int64(i) // tells the saves apart
+		if err := st.Save(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	load := func(slot int) *Snapshot {
+		data, err := os.ReadFile(filepath.Join(st.Dir(), slotName(slot)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Decode(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	if r0, r1 := load(0).Meta.Queries, load(1).Meta.Queries; r0 != 0 || r1 != 3 {
+		t.Fatalf("slots hold saves %d and %d, want 0 and 3", r0, r1)
+	}
+}
+
+// TestStoreSaveErrorForgetsSlot: a failed write may have replaced the
+// remembered slot's bytes, so the Store forgets it and the next Save
+// decodes both slots.
+func TestStoreSaveErrorForgetsSlot(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "ckpt")
+	st, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := buildSnapshot(t, 37, 6)
+	s.Meta.Step = 1
+	if err := st.Save(s); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	s.Meta.Step = 2
+	if err := st.Save(s); err == nil {
+		t.Fatal("save into a removed directory succeeded")
+	}
+	if st.last.ok {
+		t.Fatalf("failed save left %+v remembered", st.last)
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	s.Meta.Step = 3
+	if err := st.Save(s); err != nil {
+		t.Fatal(err)
+	}
+	if got := slotStep(t, st, 0); got != 3 {
+		t.Fatalf("slot 0 holds step %d, want 3", got)
+	}
+}

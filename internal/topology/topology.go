@@ -76,8 +76,8 @@ func (s BASpec) validate() error {
 	if s.M >= s.N {
 		return fmt.Errorf("topology: BA needs M < N, got M=%d N=%d", s.M, s.N)
 	}
-	if s.DelayScale < 0 || s.MinDelay < 0 {
-		return fmt.Errorf("topology: negative delay parameters")
+	if !finiteDelay(s.MinDelay) || !finiteDelay(s.DelayScale) {
+		return fmt.Errorf("topology: delay parameters must be finite and non-negative")
 	}
 	if s.LocalityExp < 0 {
 		return fmt.Errorf("topology: negative locality exponent")
@@ -160,6 +160,9 @@ func GenerateWaxman(rng *sim.RNG, spec WaxmanSpec) (*Physical, error) {
 	if spec.Alpha <= 0 || spec.Beta <= 0 {
 		return nil, fmt.Errorf("topology: Waxman needs positive Alpha/Beta")
 	}
+	if !finiteDelay(spec.MinDelay) || !finiteDelay(spec.DelayScale) {
+		return nil, fmt.Errorf("topology: delay parameters must be finite and non-negative")
+	}
 	g := graph.New(spec.N)
 	pos := place(rng, spec.N)
 	maxDist := math.Sqrt2
@@ -184,6 +187,11 @@ func GenerateWaxman(rng *sim.RNG, spec WaxmanSpec) (*Physical, error) {
 	}
 	return &Physical{Graph: g, Pos: pos, Model: "waxman", Degree: 0}, nil
 }
+
+// finiteDelay reports whether d can parameterize link delays: NaN,
+// infinite or negative delays would reach graph.AddEdge as NaN or
+// negative weights.
+func finiteDelay(d float64) bool { return d >= 0 && !math.IsInf(d, 1) }
 
 func place(rng *sim.RNG, n int) []Point {
 	pos := make([]Point, n)

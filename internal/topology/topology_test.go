@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"math"
 	"testing"
 
 	"ace/internal/graph"
@@ -53,6 +54,8 @@ func TestGenerateBAValidation(t *testing.T) {
 		{N: 10, M: 0},
 		{N: 3, M: 3},
 		{N: 10, M: 1, MinDelay: -1},
+		{N: 10, M: 1, MinDelay: math.NaN()},
+		{N: 10, M: 1, MinDelay: 1, DelayScale: math.Inf(1)},
 	} {
 		if _, err := GenerateBA(rng, spec); err == nil {
 			t.Fatalf("spec %+v should fail validation", spec)
@@ -107,6 +110,11 @@ func TestGenerateWaxmanValidation(t *testing.T) {
 	}
 	if _, err := GenerateWaxman(rng, WaxmanSpec{N: 10, Alpha: 0, Beta: 0.15}); err == nil {
 		t.Fatal("Alpha=0 should fail")
+	}
+	for _, d := range []float64{-1, math.NaN(), math.Inf(1)} {
+		if _, err := GenerateWaxman(rng, WaxmanSpec{N: 10, Alpha: 0.2, Beta: 0.15, MinDelay: d, DelayScale: 40}); err == nil {
+			t.Fatalf("MinDelay=%v should fail", d)
+		}
 	}
 }
 

@@ -61,8 +61,10 @@ func (s TransitStubSpec) validate() error {
 	if s.TransitDomains < 1 || s.TransitSize < 1 || s.StubsPerTransit < 0 || s.StubSize < 1 {
 		return fmt.Errorf("topology: bad transit-stub sizes %+v", s)
 	}
-	if s.IntraStubDelay <= 0 || s.StubTransitDelay <= 0 || s.IntraTransitDelay <= 0 || s.InterTransitDelay <= 0 {
-		return fmt.Errorf("topology: transit-stub delays must be positive")
+	for _, d := range []float64{s.IntraStubDelay, s.StubTransitDelay, s.IntraTransitDelay, s.InterTransitDelay} {
+		if !(d > 0) || !finiteDelay(d) {
+			return fmt.Errorf("topology: transit-stub delays must be finite and positive")
+		}
 	}
 	if s.EdgeProb < 0 || s.EdgeProb > 1 {
 		return fmt.Errorf("topology: EdgeProb %v outside [0,1]", s.EdgeProb)

@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"math"
 	"testing"
 
 	"ace/internal/graph"
@@ -75,6 +76,8 @@ func TestTransitStubValidation(t *testing.T) {
 		{},
 		{TransitDomains: 1, TransitSize: 1, StubSize: 1, IntraStubDelay: -1, StubTransitDelay: 1, IntraTransitDelay: 1, InterTransitDelay: 1},
 		{TransitDomains: 1, TransitSize: 1, StubSize: 1, IntraStubDelay: 1, StubTransitDelay: 1, IntraTransitDelay: 1, InterTransitDelay: 1, EdgeProb: 2},
+		{TransitDomains: 1, TransitSize: 1, StubSize: 1, IntraStubDelay: math.NaN(), StubTransitDelay: 1, IntraTransitDelay: 1, InterTransitDelay: 1},
+		{TransitDomains: 1, TransitSize: 1, StubSize: 1, IntraStubDelay: 1, StubTransitDelay: 1, IntraTransitDelay: 1, InterTransitDelay: math.Inf(1)},
 	}
 	for i, spec := range bad {
 		if _, err := GenerateTransitStub(rng, spec); err == nil {

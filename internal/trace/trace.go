@@ -12,6 +12,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 
@@ -104,6 +105,11 @@ func ReadPhysical(r io.Reader) (*topology.Physical, error) {
 		w, err3 := strconv.ParseFloat(f[3], 64)
 		if err1 != nil || err2 != nil || err3 != nil || u < 0 || v < 0 || u >= n || v >= n || u == v {
 			return nil, fmt.Errorf("trace: bad edge %v", f)
+		}
+		// A negative delay is a negative cycle in an undirected graph, on
+		// which shortest paths do not exist; NaN and ±Inf are no delay.
+		if !(w >= 0) || math.IsInf(w, 1) {
+			return nil, fmt.Errorf("trace: edge %v: delay must be finite and non-negative", f)
 		}
 		g.AddEdge(u, v, w)
 	}

@@ -56,10 +56,19 @@ func TestReadPhysicalErrors(t *testing.T) {
 		"neg nodes":   "ace-topology v1\nmodel ba 2\nnodes -1\n",
 		"short edges": "ace-topology v1\nmodel ba 2\nnodes 2\npos 0 0\npos 1 1\nedges 2\nedge 0 1 1\n",
 	}
+	// Delays the shortest-path kernels cannot use: a negative edge is a
+	// negative cycle, on which they would never stop.
+	for _, w := range []string{"-1", "-0.5", "NaN", "Inf", "+Inf", "-Inf", "1e400"} {
+		cases["delay "+w] = "ace-topology v1\nmodel ba 2\nnodes 2\npos 0 0\npos 1 1\nedges 1\nedge 0 1 " + w + "\n"
+	}
 	for name, in := range cases {
 		if _, err := ReadPhysical(strings.NewReader(in)); err == nil {
 			t.Fatalf("%s: accepted", name)
 		}
+	}
+	zero := "ace-topology v1\nmodel ba 2\nnodes 2\npos 0 0\npos 1 1\nedges 1\nedge 0 1 0\n"
+	if _, err := ReadPhysical(strings.NewReader(zero)); err != nil {
+		t.Fatalf("zero delay rejected: %v", err)
 	}
 }
 
