@@ -31,7 +31,8 @@
 //	-loss 0.05      shorthand: 5% message loss, probe timeout, connect failure
 //	-crash 0.25     25% of churned-out peers crash (half-open edges) instead
 //	                of leaving gracefully
-//	-churnpeers 6   churn 6 peers (departure + replacement join) per step
+//	-churnpeers 6   churn 6 peers per step: each departure is replaced by a
+//	                join into a slot vacated in an earlier step
 //
 // Service mode (crash-safe checkpoint/restore, internal/snap format):
 //
@@ -60,6 +61,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -423,9 +425,19 @@ func run(args []string) int {
 
 	// churnStep removes n random live peers — each crashing with the
 	// plan's crash fraction, leaving gracefully otherwise — and rejoins a
-	// random dead slot per departure, keeping the population constant.
+	// random slot per departure from those that were vacant before the
+	// step. Rejoining a slot emptied in the same step would purge its
+	// crash debris (revive) before any round could see it. Every slot
+	// starts live, so the first step only departs; the population then
+	// holds steady, n below the initial one.
 	churnStep := func(n int) (left, crashed int) {
 		net := sys.Network()
+		var vacant []overlay.PeerID
+		for p := 0; p < net.N(); p++ {
+			if !net.Alive(overlay.PeerID(p)) {
+				vacant = append(vacant, overlay.PeerID(p))
+			}
+		}
 		for i := 0; i < n && net.NumAlive() > 2; i++ {
 			alive := net.AlivePeers()
 			p := alive[churnRNG.Intn(len(alive))]
@@ -437,17 +449,10 @@ func run(args []string) int {
 			}
 			left++
 		}
-		for i := 0; i < left; i++ {
-			var dead []overlay.PeerID
-			for p := 0; p < net.N(); p++ {
-				if !net.Alive(overlay.PeerID(p)) {
-					dead = append(dead, overlay.PeerID(p))
-				}
-			}
-			if len(dead) == 0 {
-				break
-			}
-			net.Join(churnRNG, dead[churnRNG.Intn(len(dead))], *c)
+		for i := 0; i < left && len(vacant) > 0; i++ {
+			j := churnRNG.Intn(len(vacant))
+			net.Join(churnRNG, vacant[j], *c)
+			vacant = slices.Delete(vacant, j, j+1)
 		}
 		return left, crashed
 	}

@@ -71,9 +71,6 @@ func Evaluate(net *overlay.Network, fwd core.Forwarder, src overlay.PeerID, ttl,
 		if !ok {
 			break
 		}
-		if k.DeadLetter(m.To) {
-			continue // crash debris: the target died, the copy is lost
-		}
 		first := !k.Arrived(m.To)
 		forward := true
 		if !first {

@@ -97,6 +97,14 @@ func (t *TreeAdj) Neighbors(u overlay.PeerID) []overlay.PeerID {
 	return t.adj[t.off[i]:t.off[i+1]]
 }
 
+// DeadEnd reports whether the member at position pos (a Send's ToPos)
+// has no tree neighbor other than from: a continuation of this tree
+// reaching it from from relays to nobody.
+func (t *TreeAdj) DeadEnd(pos int32, from overlay.PeerID) bool {
+	b, e := t.off[pos], t.off[pos+1]
+	return e == b || (e == b+1 && t.adj[b] == from)
+}
+
 // CoveredSet is the accumulated set of peers covered by the chain of
 // multicast trees a query message descends from. Launchers use it to
 // prune their trees. It is an immutable chain — each launch links a new
@@ -348,7 +356,10 @@ const NoTree overlay.PeerID = -1
 // non-forwarding bookkeeping (scope, responses) happens only on its
 // first copy of a query, and each tree tag is continued at most once per
 // peer (the engines drop repeat-tag sends), so tree multicasts complete
-// without reflection storms.
+// without reflection storms. On a copy that is not p's first, a
+// forwarder sends nothing unless the copy serves a tree in which p has a
+// neighbor other than from; the flood kernel relies on this to count
+// such dead-end duplicates without delivering them (TreeAdj.DeadEnd).
 type Forwarder interface {
 	// Forward returns the transmissions p makes for a received copy of
 	// a query originated at src, arriving from neighbor `from` (-1 when

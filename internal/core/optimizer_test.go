@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"ace/internal/overlay"
@@ -207,6 +208,65 @@ func TestTreeForwardingRelayContinuesServingTree(t *testing.T) {
 	// Relay 2 continues to 3; relay 3 is a leaf with nothing new.
 	sendsEqual(t, fwd.Forward(0, 2, 1, 0, adj, cs, true), []Send{{To: 3, Tree: 0}})
 	sendsEqual(t, fwd.Forward(0, 3, 2, 0, adj, cs, true), nil)
+}
+
+// TestTreeAdjDeadEnd pins the leaf test the flood kernel settles
+// duplicates with: on the chain tree 0-1-2-3, a member is a dead end for
+// a sender exactly when the sender is its only tree neighbor. Over every
+// tree of an optimized random overlay, DeadEnd must agree with what a
+// non-first copy continuing the tree actually forwards.
+func TestTreeAdjDeadEnd(t *testing.T) {
+	net := starChord(t)
+	o := newOpt(t, net, 1)
+	o.RebuildTrees()
+	adj := o.State(0).FullTree() // chain 0-1-2-3
+	for _, c := range []struct {
+		member, from overlay.PeerID
+		want         bool
+	}{
+		{0, 1, true}, {0, 2, false},
+		{1, 0, false}, {1, 2, false},
+		{3, 2, true}, {3, 1, false},
+	} {
+		if got := adj.DeadEnd(int32(adj.pos(c.member)), c.from); got != c.want {
+			t.Fatalf("DeadEnd(%d from %d) = %v, want %v", c.member, c.from, got, c.want)
+		}
+	}
+
+	net = randomNet(t, 61, 300, 120, 5)
+	o = newOpt(t, net, 2)
+	rng := sim.NewRNG(62)
+	for i := 0; i < 3; i++ {
+		o.Round(rng)
+	}
+	o.RebuildTrees()
+	fwd := TreeForwarding{Opt: o}
+	var ends, relays int
+	for _, owner := range net.AlivePeers() {
+		adj := o.State(owner).FullTree()
+		for pos, p := range adj.nodes {
+			if p == owner {
+				continue // a peer never continues its own tag
+			}
+			// Every tree neighbor as the sender, plus the owner, which
+			// need not be one.
+			for _, from := range append(slices.Clone(adj.Neighbors(p)), owner) {
+				dead := adj.DeadEnd(int32(pos), from)
+				sends := fwd.ForwardInto(new(FloodScratch), nil, owner, p, from, owner, adj, int32(pos), nil, false)
+				if dead != (len(sends) == 0) {
+					t.Fatalf("tree %d: DeadEnd(%d from %d) = %v, but a duplicate forwards %d sends", owner, p, from, dead, len(sends))
+				}
+				if dead {
+					ends++
+				} else {
+					relays++
+				}
+			}
+		}
+	}
+	if ends == 0 || relays == 0 {
+		t.Fatalf("sweep exercised %d dead ends and %d relays; want both", ends, relays)
+	}
 }
 
 func TestTreeForwardingLaunchCoversUncoveredNeighbor(t *testing.T) {

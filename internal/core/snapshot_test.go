@@ -196,7 +196,7 @@ func TestRestoreStateRejectsCorruptState(t *testing.T) {
 			st.BlackExp = st.BlackExp[:1]
 			st.BlackUntil = st.BlackUntil[:1]
 		}, "sized 1 for"},
-		{"cursor out of window", func(st *OptState) { st.Cursor = st.Cursor + 1 << 40 }, "journal window"},
+		{"cursor out of window", func(st *OptState) { st.Cursor = st.Cursor + 1<<40 }, "journal window"},
 		{"pending out of range", func(st *OptState) {
 			st.Pending = []PendingEntry{{A: overlay.PeerID(side.net.N()), B: 0, H: 1, TTL: 1}}
 		}, "out of range"},

@@ -2,22 +2,29 @@ package gnutella
 
 import (
 	"container/heap"
+	"fmt"
 	"math"
 	"testing"
 	"time"
 
 	"ace/internal/core"
+	"ace/internal/fault"
 	"ace/internal/overlay"
 	"ace/internal/physical"
 	"ace/internal/sim"
 	"ace/internal/topology"
 )
 
-// referenceEvaluate is a verbatim copy of the map-based evaluator this
-// repository shipped before the flat kernel, kept as the semantic oracle:
-// per-query state in fresh maps, a container/heap event queue, and
-// returnTime re-walking the inverse path on every hit. The flat kernel
-// must reproduce its QueryResult bit for bit.
+// referenceEvaluate is the map-based evaluator this repository shipped
+// before the flat kernel, kept as the semantic oracle: per-query state in
+// fresh maps, a container/heap event queue that every copy goes through,
+// and returnTime re-walking the inverse path on every hit. It carries the
+// kernel's fault semantics in their plainest form: the sender pays for
+// every send, the network's injector drops or jitters a send keyed by the
+// source's fault.Nonce and the flood's running transmission count, and a
+// copy popped for a dead target is a dead letter when the network has an
+// injector or crash debris. The flat kernel must reproduce its
+// QueryResult bit for bit.
 
 type refInflight struct {
 	at      time.Duration
@@ -76,6 +83,9 @@ func referenceEvaluate(net *overlay.Network, fwd core.Forwarder, src overlay.Pee
 		return total
 	}
 
+	inj := net.Faults()
+	hazard := inj != nil || net.Dangling() > 0
+	nonce := fault.Nonce(uint64(src))
 	var q refHeap
 	var seq uint64
 	served := map[uint64]bool{}
@@ -83,6 +93,14 @@ func referenceEvaluate(net *overlay.Network, fwd core.Forwarder, src overlay.Pee
 		c := net.Cost(from, s.To)
 		res.TrafficCost += c
 		res.Transmissions++
+		if inj != nil {
+			tx := uint32(res.Transmissions)
+			if inj.DropMessage(nonce, int(from), int(s.To), tx) {
+				res.Lost++
+				return
+			}
+			c = inj.TransitDelay(c, nonce, int(from), int(s.To), tx)
+		}
 		heap.Push(&q, refInflight{at: at + delayDur(c), seq: seq, to: s.To, from: from, serving: s.Tree, adj: s.Adj, covered: s.Covered, ttl: ttl})
 		seq++
 	}
@@ -105,6 +123,10 @@ func referenceEvaluate(net *overlay.Network, fwd core.Forwarder, src overlay.Pee
 	}
 	for len(q) > 0 {
 		m := heap.Pop(&q).(refInflight)
+		if hazard && !net.Alive(m.to) {
+			res.DeadLetters++
+			continue
+		}
 		_, seen := res.Arrival[m.to]
 		if seen {
 			res.Duplicates++
@@ -133,6 +155,10 @@ func queryResultsIdentical(t *testing.T, tag string, got, want QueryResult) {
 	if got.Scope != want.Scope || got.Transmissions != want.Transmissions || got.Duplicates != want.Duplicates {
 		t.Fatalf("%s: counts got {scope %d tx %d dup %d}, want {scope %d tx %d dup %d}",
 			tag, got.Scope, got.Transmissions, got.Duplicates, want.Scope, want.Transmissions, want.Duplicates)
+	}
+	if got.Lost != want.Lost || got.DeadLetters != want.DeadLetters {
+		t.Fatalf("%s: lost %d dead letters %d, want lost %d dead letters %d",
+			tag, got.Lost, got.DeadLetters, want.Lost, want.DeadLetters)
 	}
 	if got.TrafficCost != want.TrafficCost {
 		t.Fatalf("%s: traffic %v != %v", tag, got.TrafficCost, want.TrafficCost)
@@ -222,6 +248,72 @@ func TestEvaluateMatchesReferenceAfterChurn(t *testing.T) {
 			got := Evaluate(net, core.TreeForwarding{Opt: opt}, dead, 8, nil)
 			want := referenceEvaluate(net, core.TreeForwarding{Opt: opt}, dead, 8, nil)
 			queryResultsIdentical(t, "dead-src", got, want)
+		}
+	}
+}
+
+// TestEvaluateMatchesReferenceUnderFaults extends the comparison to
+// faulty floods: 5% message loss with delay jitter, crash debris left in
+// adjacencies and trees by crashes without a rebuild, and TTL frontiers
+// at depth 2. The reference delivers every copy, so each copy the kernel
+// counts at send time instead — a dead letter, a duplicate whose TTL is
+// spent, a blind duplicate, a duplicate reaching a dead end of its tree —
+// is checked against an actual delivery, and so is the order of the
+// copies it still queues.
+func TestEvaluateMatchesReferenceUnderFaults(t *testing.T) {
+	lossy := &fault.Plan{Seed: 17, LossRate: 0.05, DelayJitter: 0.2}
+	cases := []struct {
+		name  string
+		seed  int64
+		h     int
+		plan  *fault.Plan
+		crash bool
+		ttls  []int
+	}{
+		{"loss+jitter/h1", 6, 1, lossy, false, []int{1 << 20, 3}},
+		{"loss+jitter/h2", 7, 2, lossy, false, []int{1 << 20, 2}},
+		{"crash-debris/h1", 8, 1, nil, true, []int{1 << 20, 3}},
+		{"crash-debris+loss/h2", 9, 2, lossy, true, []int{1 << 20}},
+		{"ttl-frontier/h2", 10, 2, nil, false, []int{1, 2, 3, 4}},
+	}
+	for _, c := range cases {
+		net, opt := diffNet(t, c.seed, c.h)
+		if c.plan != nil {
+			net.SetFaults(lossyInjector(t, *c.plan))
+		}
+		if c.crash {
+			alive := net.AlivePeers()
+			for i := 0; i < len(alive); i += 10 {
+				net.Crash(alive[i])
+			}
+			if net.Dangling() == 0 {
+				t.Fatalf("%s: crashes left no debris", c.name)
+			}
+		}
+		alive := net.AlivePeers()
+		rng := sim.NewRNG(c.seed * 13)
+		var lost, dead int
+		for _, f := range []struct {
+			name string
+			fwd  core.Forwarder
+		}{{"blind", core.BlindFlooding{Net: net}}, {"tree", core.TreeForwarding{Opt: opt}}} {
+			for _, ttl := range c.ttls {
+				for q := 0; q < 6; q++ {
+					src := alive[rng.Intn(len(alive))]
+					responders := map[overlay.PeerID]bool{}
+					for len(responders) < 3 {
+						responders[alive[rng.Intn(len(alive))]] = true
+					}
+					want := referenceEvaluate(net, f.fwd, src, ttl, responders)
+					got := Evaluate(net, f.fwd, src, ttl, responders)
+					queryResultsIdentical(t, fmt.Sprintf("%s/%s/ttl%d", c.name, f.name, ttl), got, want)
+					lost += want.Lost
+					dead += want.DeadLetters
+				}
+			}
+		}
+		if (c.plan != nil) != (lost > 0) || c.crash != (dead > 0) {
+			t.Fatalf("%s: %d lost and %d dead letters do not match the fault set-up", c.name, lost, dead)
 		}
 	}
 }

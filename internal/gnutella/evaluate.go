@@ -106,9 +106,6 @@ func evaluate(net *overlay.Network, fwd core.Forwarder, src overlay.PeerID, ttl 
 		key := k.popFlight()
 		m := k.pay[key.seq]
 		to := overlay.PeerID(m.to)
-		if k.DeadLetter(to) {
-			continue // crash debris: the target died, the copy is lost
-		}
 		firstCopy := !k.Arrived(to)
 		if !firstCopy {
 			k.Duplicate()

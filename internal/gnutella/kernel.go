@@ -36,6 +36,13 @@ type Kernel struct {
 	arr     []arrivalState
 	order   []overlay.PeerID // arrival order, source first
 
+	// queued holds each peer's earliest arrival time among the copies
+	// pushed to it this query, valid when its mark equals the epoch. A
+	// queued copy landing no later than a new one pops first (equal
+	// times tie-break on the lower seq), so Emit reads it to settle
+	// copies that cannot be their target's first.
+	queued []queuedState
+
 	// Per-(peer, tree) continuation dedup: a peer forwards each tree tag
 	// at most once. The first tag a peer serves lives in its flat served
 	// slot — almost every peer serves exactly one tree — and only the
@@ -71,6 +78,7 @@ type Kernel struct {
 	scope         int
 	transmissions int
 	duplicates    int
+	settled       int // copies Emit counted instead of queueing
 	traffic       float64
 
 	// Fault state for this flood: the network's injector (nil on clean
@@ -142,6 +150,13 @@ type arrivalState struct {
 	back     overlay.PeerID
 }
 
+// queuedState is one peer's earliest queued arrival, valid when mark
+// equals the kernel's epoch.
+type queuedState struct {
+	at   time.Duration
+	mark uint32
+}
+
 // servedState is one peer's first served tree tag, valid when mark
 // equals the kernel's epoch; extra tags spill into servedTrees.
 type servedState struct {
@@ -184,6 +199,9 @@ const (
 // pushFlight appends the payload and schedules its key; the returned
 // seq of popFlight indexes k.pay.
 func (k *Kernel) pushFlight(at time.Duration, f flight) {
+	if q := &k.queued[f.to]; q.mark != k.epoch || at < q.at {
+		*q = queuedState{at: at, mark: k.epoch}
+	}
 	seq := k.seq
 	k.pay = append(k.pay, f)
 	k.seq++
@@ -353,6 +371,7 @@ func (k *Kernel) Begin(net *overlay.Network, fwd core.Forwarder, trace bool) {
 	if len(k.arr) < n {
 		k.arrMark = make([]uint32, n)
 		k.arr = make([]arrivalState, n)
+		k.queued = make([]queuedState, n)
 		k.served = make([]servedState, n)
 		k.servedTrees = make([][]overlay.PeerID, n)
 		k.respMark = make([]uint32, n)
@@ -361,6 +380,7 @@ func (k *Kernel) Begin(net *overlay.Network, fwd core.Forwarder, trace bool) {
 	k.epoch++
 	if k.epoch == 0 { // wrapped: stale stamps could alias the new epoch
 		clear(k.arrMark)
+		clear(k.queued)
 		clear(k.served)
 		clear(k.respMark)
 		k.epoch = 1
@@ -378,7 +398,7 @@ func (k *Kernel) Begin(net *overlay.Network, fwd core.Forwarder, trace bool) {
 	// A query boundary is a hard lifetime boundary for everything the
 	// scratch arena handed to the previous flood, so recycle it.
 	k.fsc.BeginQuery()
-	k.scope, k.transmissions, k.duplicates = 0, 0, 0
+	k.scope, k.transmissions, k.duplicates, k.settled = 0, 0, 0, 0
 	k.traffic = 0
 	k.inj = net.Faults()
 	k.nonce = 0
@@ -451,6 +471,17 @@ func (k *Kernel) Arrive(p, from overlay.PeerID, at time.Duration) {
 // Duplicate counts a delivery to an already-visited peer.
 func (k *Kernel) Duplicate() { k.duplicates++ }
 
+// notFirst reports whether a copy reaching p at virtual time at cannot be
+// p's first: p has arrived, or a copy already queued for p lands no
+// later and so pops before it.
+func (k *Kernel) notFirst(p overlay.PeerID, at time.Duration) bool {
+	if k.arrMark[p] == k.epoch {
+		return true
+	}
+	q := k.queued[p]
+	return q.mark == k.epoch && q.at <= at
+}
+
 // MarkResponders stamps the responder set into the kernel's dense
 // mirror; call it once after Begin so IsResponder answers without a map
 // probe. Marking is order-independent, so the map's iteration order
@@ -499,7 +530,9 @@ func (k *Kernel) Scope() int { return k.scope }
 // Transmissions reports individual message sends so far.
 func (k *Kernel) Transmissions() int { return k.transmissions }
 
-// Duplicates reports deliveries to already-visited peers so far.
+// Duplicates reports copies that reached an already-visited peer so
+// far, counting those Emit settled at send time; once the queue drains
+// it is the query's duplicate deliveries.
 func (k *Kernel) Duplicates() int { return k.duplicates }
 
 // Traffic reports the accumulated physical delay cost of every send.
@@ -559,6 +592,19 @@ func (k *Kernel) ForwardOf(src, p, from, serving overlay.PeerID, adj *core.TreeA
 // plus one launch run, and a peer never launches the tree it is
 // continuing), so the dedup check, the launch-table entry, and the served
 // mark each happen once per run rather than once per send.
+//
+// A copy whose delivery could only bump a counter is settled here
+// instead of queued: a copy to a dead target on a hazardous flood is
+// counted as a dead letter, and a copy that cannot be its target's first
+// and would relay nothing as a duplicate — it is blind or its TTL is
+// spent (duplicates relay only tree continuations), or its target is a
+// dead end of the carried tree (core.TreeAdj.DeadEnd). Traffic, the
+// fault decisions and the hop trace are accounted before that point, and
+// the queued copies keep their relative order, so a flood's results are
+// those of delivering every copy. Drivers therefore drop no dead letters
+// themselves, count each popped copy to an arrived peer as a Duplicate,
+// and relay a duplicate only along the continuation of an unserved tag
+// while TTL remains.
 func (k *Kernel) Emit(at time.Duration, from overlay.PeerID, sends []core.Send, ttl int) {
 	// One cached-vector view prices the whole batch from this sender;
 	// the fallback keeps bit-identical values when the vector is cold.
@@ -575,10 +621,14 @@ func (k *Kernel) Emit(at time.Duration, from overlay.PeerID, sends []core.Send, 
 			continue
 		}
 		idx := int32(-1)
+		adj := sends[i].Adj
 		if tree != core.NoTree {
-			k.launches = append(k.launches, launchRef{adj: sends[i].Adj, covered: sends[i].Covered, tree: tree})
+			k.launches = append(k.launches, launchRef{adj: adj, covered: sends[i].Covered, tree: tree})
 			idx = int32(len(k.launches) - 1)
 		}
+		// Whether a duplicate of this run could relay anything; a tagged
+		// one still needs its target to be more than a dead end.
+		relays := ttl > 0 && tree != core.NoTree && adj != nil
 		for ; i < len(sends) && sends[i].Tree == tree; i++ {
 			s := &sends[i]
 			var c float64
@@ -611,7 +661,19 @@ func (k *Kernel) Emit(at time.Duration, from overlay.PeerID, sends []core.Send, 
 				}
 				c = k.inj.TransitDelay(c, k.nonce, int(from), int(s.To), seq)
 			}
-			k.pushFlight(at+delayDur(c), flight{to: int32(s.To), from: int32(from), toPos: s.ToPos, launch: idx, ttl: int32(ttl)})
+			arrive := at + delayDur(c)
+			if k.hazard && !k.net.Alive(s.To) {
+				// Crash debris: the target died, the copy is lost.
+				k.deadLetters++
+				k.settled++
+				continue
+			}
+			if (!relays || s.ToPos >= 0 && adj.DeadEnd(s.ToPos, from)) && k.notFirst(s.To, arrive) {
+				k.duplicates++
+				k.settled++
+				continue
+			}
+			k.pushFlight(arrive, flight{to: int32(s.To), from: int32(from), toPos: s.ToPos, launch: idx, ttl: int32(ttl)})
 		}
 		if tree != core.NoTree {
 			k.servedAdd(from, tree)
@@ -646,23 +708,12 @@ func (k *Kernel) Next() (Flight, bool) {
 	return f, true
 }
 
-// DeadLetter reports whether a delivery to p must be dropped because p
-// is dead — crash debris left p in an adjacency or multicast tree built
-// before it died. The sender already paid for the transmission. Clean
-// floods pay one predicted branch on the hazard flag.
-func (k *Kernel) DeadLetter(p overlay.PeerID) bool {
-	if !k.hazard || k.net.Alive(p) {
-		return false
-	}
-	k.deadLetters++
-	return true
-}
-
 // Lost reports how many of this flood's messages were lost in transit.
 func (k *Kernel) Lost() int { return k.lost }
 
-// DeadLetters reports how many deliveries were dropped because the
-// target had died.
+// DeadLetters reports how many sends were dropped because the target
+// had died — crash debris left it in an adjacency or multicast tree
+// built before it died. The sender paid for each.
 func (k *Kernel) DeadLetters() int { return k.deadLetters }
 
 // ArrivalMap materializes the public Arrival map from the dense arrays.

@@ -16,6 +16,10 @@ var (
 	hScope      = obs.NewHistogram("ace.gnutella.scope")
 	hSends      = obs.NewHistogram("ace.gnutella.flood.sends")
 
+	// Copies Emit counted at send time instead of queueing them; per
+	// flood, heap.pushes + settled + lost = sends.
+	cSettled = obs.NewCounter("ace.gnutella.settled")
+
 	// Kernel arena turnover: acquires counts pool checkouts, allocs the
 	// pool misses that built a fresh kernel; their difference is arena
 	// reuse.
@@ -39,6 +43,7 @@ func (k *Kernel) ObserveFlood() {
 	cSends.Add(uint64(k.transmissions))
 	cDuplicates.Add(uint64(k.duplicates))
 	cHeapPushes.Add(uint64(k.seq))
+	cSettled.Add(uint64(k.settled))
 	if k.wide {
 		cHeapWiden.Inc()
 	}

@@ -21,8 +21,8 @@ func churnedNet(t *testing.T) *Network {
 			t.Fatalf("Connect%v failed", e)
 		}
 	}
-	net.Leave(7)  // host cache remembers 1 and 6
-	net.Crash(2)  // 0, 1, 3 keep half-open references
+	net.Leave(7) // host cache remembers 1 and 6
+	net.Crash(2) // 0, 1, 3 keep half-open references
 	net.Connect(0, 3)
 	return net
 }
