@@ -249,7 +249,7 @@ func (s *System) QueryBlind(src PeerID, ttl int, responders map[PeerID]bool) Que
 }
 
 // Forwarder returns the ACE tree forwarder bound to this system, for use
-// with the lower-level evaluators and engines.
+// with the lower-level evaluators.
 func (s *System) Forwarder() Forwarder { return core.TreeForwarding{Opt: s.opt} }
 
 // BlindForwarder returns the blind-flooding baseline forwarder.

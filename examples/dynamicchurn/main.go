@@ -1,8 +1,9 @@
 // Dynamic churn: the paper's §4.3 environment — peers join and leave
-// with 10-minute mean lifetimes while issuing Poisson queries, and ACE
-// re-optimizes twice a minute. This example runs the message-level
-// discrete-event engine (every query and query-hit is an individual
-// timed message) rather than the closed-form evaluator the sweeps use.
+// while issuing Poisson queries, and ACE re-optimizes twice a minute.
+// A discrete-event clock drives the churn, the query arrivals and the
+// ACE rounds; each query floods the overlay as it stands at its arrival
+// instant (sys.Query), so a peer leaving while a flood is in flight does
+// not cut it short.
 //
 //	go run ./examples/dynamicchurn
 package main
@@ -37,8 +38,6 @@ func main() {
 
 	eng := sim.NewEngine()
 	rng := sim.NewRNG(99)
-	msgEngine := gnutella.NewEngine(eng, net, sys.Forwarder())
-	msgEngine.Horizon = 30 * time.Second
 
 	model := churn.DefaultModel(8)
 	model.MeanLifetime = 5 * time.Minute // brisk churn for a short demo
@@ -59,21 +58,17 @@ func main() {
 		for len(responders) < 3 {
 			responders[alive[qrng.Intn(len(alive))]] = true
 		}
-		qs := msgEngine.InjectQuery(src, 2*gnutella.DefaultTTL, 0,
-			func(p overlay.PeerID, _ int) bool { return responders[p] })
+		r := sys.Query(src, 2*gnutella.DefaultTTL, responders)
 		queries++
-		// Collect the stats once the flood has settled.
-		eng.After(20*time.Second, func() {
-			traffic.Add(qs.TrafficCost)
-			if math.IsInf(qs.FirstResponse, 1) {
-				failed++
-			} else {
-				response.Add(qs.FirstResponse)
-			}
-		})
+		traffic.Add(r.TrafficCost)
+		if math.IsInf(r.FirstResponse, 1) {
+			failed++
+		} else {
+			response.Add(r.FirstResponse)
+		}
 	}
 
-	// ACE runs twice a minute, and peers ping for fresh addresses.
+	// ACE runs twice a minute.
 	optRNG := rng.Derive("opt")
 	var aceTick func()
 	aceTick = func() {

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"ace/internal/core"
+	"ace/internal/fault"
 	"ace/internal/gnutella"
 	"ace/internal/overlay"
 	"ace/internal/physical"
@@ -14,9 +15,11 @@ import (
 	"ace/internal/topology"
 )
 
-// The retired map-based cache evaluator, kept verbatim as the reference
-// the kernel-backed Evaluate must match bit for bit (including the store
-// mutations it leaves behind).
+// The retired map-based cache evaluator, kept as the reference the
+// kernel-backed Evaluate must match bit for bit (including the store
+// mutations it leaves behind). Its only change since retirement: copies
+// carry their Send.ToPos into the forwarder, which takes it as p's tree
+// position.
 
 type refHop struct {
 	at      time.Duration
@@ -24,6 +27,7 @@ type refHop struct {
 	to      overlay.PeerID
 	from    overlay.PeerID
 	serving overlay.PeerID
+	toPos   int32
 	adj     *core.TreeAdj
 	covered *core.CoveredSet
 	ttl     int
@@ -94,6 +98,7 @@ func referenceCacheEvaluate(net *overlay.Network, fwd core.Forwarder, src overla
 		}
 	}
 
+	var sc core.FloodScratch // never rewound: every launch gets fresh memory
 	var q refHopHeap
 	var seq uint64
 	served := map[uint64]bool{}
@@ -104,7 +109,7 @@ func referenceCacheEvaluate(net *overlay.Network, fwd core.Forwarder, src overla
 		c := net.Cost(from, s.To)
 		res.TrafficCost += c
 		res.Transmissions++
-		heap.Push(&q, refHop{at: at + time.Duration(c*refMSPerDur), seq: seq, to: s.To, from: from, serving: s.Tree, adj: s.Adj, covered: s.Covered, ttl: ttl})
+		heap.Push(&q, refHop{at: at + time.Duration(c*refMSPerDur), seq: seq, to: s.To, from: from, serving: s.Tree, toPos: s.ToPos, adj: s.Adj, covered: s.Covered, ttl: ttl})
 		seq++
 	}
 	emit := func(at time.Duration, p overlay.PeerID, sends []core.Send, ttl int) {
@@ -121,7 +126,7 @@ func referenceCacheEvaluate(net *overlay.Network, fwd core.Forwarder, src overla
 		}
 	}
 	if ttl > 0 {
-		emit(0, src, fwd.Forward(src, src, -1, core.NoTree, nil, nil, true), ttl-1)
+		emit(0, src, fwd.ForwardInto(&sc, nil, src, src, -1, core.NoTree, nil, -1, nil, true), ttl-1)
 	}
 	for len(q) > 0 {
 		m := heap.Pop(&q).(refHop)
@@ -157,7 +162,7 @@ func referenceCacheEvaluate(net *overlay.Network, fwd core.Forwarder, src overla
 		if !forward || m.ttl <= 0 {
 			continue
 		}
-		emit(m.at, m.to, fwd.Forward(src, m.to, m.from, m.serving, m.adj, m.covered, first), m.ttl-1)
+		emit(m.at, m.to, fwd.ForwardInto(&sc, nil, src, m.to, m.from, m.serving, m.adj, m.toPos, m.covered, first), m.ttl-1)
 	}
 
 	if answerer >= 0 && target >= 0 {
@@ -212,6 +217,10 @@ func cacheResultsIdentical(t *testing.T, tag string, got, want Result) {
 	if got.Scope != want.Scope || got.Transmissions != want.Transmissions || got.Duplicates != want.Duplicates {
 		t.Fatalf("%s: counts got {scope %d tx %d dup %d}, want {scope %d tx %d dup %d}",
 			tag, got.Scope, got.Transmissions, got.Duplicates, want.Scope, want.Transmissions, want.Duplicates)
+	}
+	if got.Lost != want.Lost || got.DeadLetters != want.DeadLetters {
+		t.Fatalf("%s: lost %d dead letters %d, want lost %d dead letters %d",
+			tag, got.Lost, got.DeadLetters, want.Lost, want.DeadLetters)
 	}
 	if got.TrafficCost != want.TrafficCost {
 		t.Fatalf("%s: traffic %v != %v", tag, got.TrafficCost, want.TrafficCost)
@@ -303,4 +312,49 @@ func TestCacheEvaluateMatchesReferenceStale(t *testing.T) {
 		cacheResultsIdentical(t, "stale", got, want)
 	}
 	storesIdentical(t, "stale", gotStore, wantStore, net.N())
+}
+
+// TestEvaluateMatchesGnutellaUnderFaults floods lossy and crash-debris
+// networks through the cache layer with an empty store and no holder,
+// where it must report exactly what the plain flood reports, its fault
+// tallies included.
+func TestEvaluateMatchesGnutellaUnderFaults(t *testing.T) {
+	noHolder := func(overlay.PeerID, int) bool { return false }
+	for _, c := range []struct {
+		name  string
+		loss  float64
+		crash bool
+	}{{"loss", 0.2, false}, {"crash-debris", 0, true}, {"crash-debris+loss", 0.2, true}} {
+		net, opt := diffCacheNet(t, 1, 1)
+		if c.loss > 0 {
+			inj, err := fault.NewInjector(fault.Plan{Seed: 5, LossRate: c.loss})
+			if err != nil {
+				t.Fatal(err)
+			}
+			net.SetFaults(inj)
+		}
+		if c.crash {
+			alive := net.AlivePeers()
+			for i := 0; i < len(alive); i += 10 {
+				net.Crash(alive[i])
+			}
+		}
+		alive := net.AlivePeers()
+		var lost, dead int
+		for _, f := range []struct {
+			name string
+			fwd  core.Forwarder
+		}{{"blind", core.BlindFlooding{Net: net}}, {"tree", core.TreeForwarding{Opt: opt}}} {
+			for _, src := range []overlay.PeerID{alive[0], alive[len(alive)/2]} {
+				got := Evaluate(net, f.fwd, src, gnutella.DefaultTTL, 7, noHolder, NewStore(8))
+				want := gnutella.Evaluate(net, f.fwd, src, gnutella.DefaultTTL, nil)
+				cacheResultsIdentical(t, c.name+"/"+f.name, got, Result{QueryResult: want})
+				lost += want.Lost
+				dead += want.DeadLetters
+			}
+		}
+		if (c.loss > 0) != (lost > 0) || c.crash != (dead > 0) {
+			t.Fatalf("%s: %d lost and %d dead letters do not match the fault set-up", c.name, lost, dead)
+		}
+	}
 }

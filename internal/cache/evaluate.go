@@ -27,9 +27,9 @@ type Result struct {
 // the QueryHit filling caches as it travels home.
 //
 // The flood runs on the shared pooled gnutella.Kernel: dense epoch-stamped
-// arrival state, the typed event heap, and the allocation-free scratch
-// forwarding path, with only the cache probes layered on this package's
-// side of the loop.
+// arrival state, the typed event heap, and the kernel's reusable
+// forwarding scratch, with only the cache probes layered on this
+// package's side of the loop.
 func Evaluate(net *overlay.Network, fwd core.Forwarder, src overlay.PeerID, ttl, keyword int, holds func(overlay.PeerID, int) bool, store *Store) Result {
 	res := Result{QueryResult: gnutella.QueryResult{FirstResponse: math.Inf(1)}}
 	if !net.Alive(src) {
@@ -106,11 +106,7 @@ func Evaluate(net *overlay.Network, fwd core.Forwarder, src overlay.PeerID, ttl,
 	}
 
 	k.ObserveFlood()
-	res.Scope = k.Scope()
-	res.TrafficCost = k.Traffic()
-	res.Transmissions = k.Transmissions()
-	res.Duplicates = k.Duplicates()
-	res.Arrival = k.ArrivalMap()
+	res.QueryResult = k.Result(res.FirstResponse)
 	observeFlood(&res)
 
 	// The winning QueryHit travels the inverse path home, populating the

@@ -2,7 +2,6 @@ package core
 
 import (
 	"slices"
-	"sync"
 
 	"ace/internal/overlay"
 )
@@ -109,7 +108,7 @@ func (t *TreeAdj) DeadEnd(pos int32, from overlay.PeerID) bool {
 // multicast trees a query message descends from. Launchers use it to
 // prune their trees. It is an immutable chain — each launch links a new
 // node referencing only its own tree's member list — so extending it is
-// O(1) and costs one small allocation even on launch-heavy floods.
+// O(1) and takes one arena slot even on launch-heavy floods.
 // Membership checks either walk the chain (Has) or, on the hot path, are
 // answered in O(1) from a FloodScratch that has materialized the chain
 // into its epoch-tagged bitset.
@@ -136,11 +135,6 @@ func (c *CoveredSet) Empty() bool {
 		}
 	}
 	return true
-}
-
-// extend returns a new chain node adding adj's members on top of c.
-func (c *CoveredSet) extend(adj *TreeAdj) *CoveredSet {
-	return &CoveredSet{parent: c, adj: adj}
 }
 
 // epochSet is a dense peer set cleared in O(1): membership is "stamp
@@ -175,8 +169,8 @@ type FloodScratch struct {
 	seen epochSet // splice BFS dedup / pruneTree keep set
 
 	// cover is the epoch-tagged bitset of lastCover's chain members;
-	// consecutive Forward calls carrying the same chain (the common case
-	// while one tree's continuation floods) skip re-materializing.
+	// consecutive ForwardInto calls carrying the same chain (the common
+	// case while one tree's continuation floods) skip re-materializing.
 	cover     epochSet
 	lastCover *CoveredSet
 
@@ -194,18 +188,19 @@ type FloodScratch struct {
 	views  []overlay.CostView
 	viewOK []bool
 
-	// arena, when armed by BeginQuery, serves the launch-lifetime
-	// allocations (pruned CSR slabs and headers, covered-chain nodes)
-	// from reusable bump chunks. Only callers with a clear query
-	// boundary — the flood kernels — arm it; everyone else gets plain
-	// allocations.
-	arena *floodArena
+	// arena serves the launch-lifetime allocations (pruned CSR slabs
+	// and headers, covered-chain nodes) from bump chunks. BeginQuery
+	// rewinds it so the next query reuses the chunks in place; a
+	// scratch that never sees a query boundary only ever takes fresh
+	// chunks.
+	arena floodArena
 }
 
 // floodArena bump-allocates the objects a launch hands to its messages.
-// A chunk is recycled only by reset; when one fills up, a fresh chunk
-// replaces it and the old one stays alive through the slices already
-// handed out, so outstanding references are never overwritten.
+// Chunks are recycled only by BeginQuery's rewind; when one fills up, a
+// fresh chunk replaces it and the old one stays alive through the slices
+// already handed out, so outstanding references are never overwritten.
+// The zero value is ready to use.
 type floodArena struct {
 	ids      []overlay.PeerID
 	idsOff   int
@@ -281,31 +276,21 @@ func (a *floodArena) allocHdr() *TreeAdj {
 	return h
 }
 
-// BeginQuery arms (or resets) the scratch's launch arena and drops the
+// BeginQuery rewinds the scratch's launch arena and drops the
 // materialized-chain cache. Callers MUST have a hard lifetime boundary:
 // nothing from any earlier query through this scratch — no Send, TreeAdj
 // or CoveredSet — may still be referenced, because the arena chunks are
-// reused in place. The flood kernels call this once per query; scratches
-// used without query boundaries (the pooled Forward wrapper, the live
-// engine) never arm the arena and keep plain allocations.
+// reused in place. The flood kernel calls this once per query; a scratch
+// used without query boundaries (a test's one-off forwarding call) never
+// calls it, so its arena never recycles.
 func (sc *FloodScratch) BeginQuery() {
-	if sc.arena == nil {
-		sc.arena = &floodArena{}
-	}
 	sc.arena.idsOff, sc.arena.offsOff, sc.arena.costOff = 0, 0, 0
 	sc.arena.chainOff, sc.arena.hdrOff = 0, 0
 	sc.lastCover = nil
 }
 
-// Release drops the scratch's reference to the last materialized covered
-// chain so finished queries do not pin their trees in pooled scratches.
-func (sc *FloodScratch) Release() { sc.lastCover = nil }
-
-// extendCover chains adj onto c, from the arena when armed.
+// extendCover chains adj onto c, from the arena.
 func (sc *FloodScratch) extendCover(c *CoveredSet, adj *TreeAdj) *CoveredSet {
-	if sc.arena == nil {
-		return c.extend(adj)
-	}
 	cc := sc.arena.allocChain()
 	*cc = CoveredSet{parent: c, adj: adj}
 	return cc
@@ -349,36 +334,28 @@ type Send struct {
 const NoTree overlay.PeerID = -1
 
 // Forwarder decides where a peer relays a query. It is the seam between
-// the routing strategy (blind flooding vs ACE trees) and the query
-// engines in package gnutella.
+// the routing strategy (blind flooding vs ACE trees) and the flood
+// kernel in package gnutella.
 //
-// The engines enforce two layers of duplicate suppression: a peer's
+// The kernel enforces two layers of duplicate suppression: a peer's
 // non-forwarding bookkeeping (scope, responses) happens only on its
 // first copy of a query, and each tree tag is continued at most once per
-// peer (the engines drop repeat-tag sends), so tree multicasts complete
+// peer (the kernel drops repeat-tag sends), so tree multicasts complete
 // without reflection storms. On a copy that is not p's first, a
 // forwarder sends nothing unless the copy serves a tree in which p has a
 // neighbor other than from; the flood kernel relies on this to count
 // such dead-end duplicates without delivering them (TreeAdj.DeadEnd).
 type Forwarder interface {
-	// Forward returns the transmissions p makes for a received copy of
-	// a query originated at src, arriving from neighbor `from` (-1 when
-	// p originates it) as part of tree `serving` with adjacency
-	// `servingAdj` and chain coverage `covered` (NoTree/nil for blind
-	// copies). first reports whether this is p's first copy of the
-	// query. Implementations never target `from`.
-	Forward(src, p, from, serving overlay.PeerID, servingAdj *TreeAdj, covered *CoveredSet, first bool) []Send
-}
-
-// ScratchForwarder is the allocation-free fast path the flood kernels
-// use: ForwardInto appends the transmissions to out (which the caller
-// may reuse across calls — the result aliases it) and runs all set
-// bookkeeping in sc. pPos is p's position within servingAdj (a Send's
-// ToPos; -1 when unknown or not serving a tree). Both built-in
-// forwarders implement it; Forward remains the convenient allocating
-// form for tests and one-off calls.
-type ScratchForwarder interface {
-	Forwarder
+	// ForwardInto appends to out the transmissions p makes for a
+	// received copy of a query originated at src, arriving from
+	// neighbor `from` (-1 when p originates it) as part of tree
+	// `serving` with adjacency `servingAdj` and chain coverage
+	// `covered` (NoTree/nil for blind copies), and returns the extended
+	// slice, which aliases out. pPos is p's position within servingAdj
+	// (the copy's Send.ToPos; -1 when not serving a tree). first
+	// reports whether this is p's first copy of the query. All set
+	// bookkeeping runs in sc, which must not be shared by concurrent
+	// callers. Implementations never target `from`.
 	ForwardInto(sc *FloodScratch, out []Send, src, p, from, serving overlay.PeerID, servingAdj *TreeAdj, pPos int32, covered *CoveredSet, first bool) []Send
 }
 
@@ -388,20 +365,11 @@ type BlindFlooding struct {
 	Net *overlay.Network
 }
 
-var _ ScratchForwarder = BlindFlooding{}
+var _ Forwarder = BlindFlooding{}
 
-// Forward implements Forwarder: blind flooding relays only the first
-// copy, to every neighbor but the sender.
-func (b BlindFlooding) Forward(src, p, from, serving overlay.PeerID, servingAdj *TreeAdj, covered *CoveredSet, first bool) []Send {
-	if !first {
-		return nil
-	}
-	nbrs := b.Net.NeighborsView(p)
-	return b.ForwardInto(nil, make([]Send, 0, len(nbrs)), src, p, from, serving, servingAdj, -1, covered, first)
-}
-
-// ForwardInto implements ScratchForwarder. Blind flooding needs no
-// scratch; sc may be nil.
+// ForwardInto implements Forwarder: blind flooding relays only the
+// first copy, to every neighbor but the sender. It needs no scratch; sc
+// may be nil.
 func (b BlindFlooding) ForwardInto(_ *FloodScratch, out []Send, _, p, from, _ overlay.PeerID, _ *TreeAdj, _ int32, _ *CoveredSet, first bool) []Send {
 	if !first {
 		return out
@@ -435,26 +403,9 @@ type TreeForwarding struct {
 	Opt *Optimizer
 }
 
-var _ ScratchForwarder = TreeForwarding{}
+var _ Forwarder = TreeForwarding{}
 
-// scratchPool backs the allocating Forward wrapper so ad-hoc callers
-// (tests, walkthroughs) stay cheap without threading a scratch around.
-var scratchPool = sync.Pool{New: func() any { return new(FloodScratch) }}
-
-// Forward implements Forwarder.
-func (t TreeForwarding) Forward(src, p, from, serving overlay.PeerID, servingAdj *TreeAdj, covered *CoveredSet, first bool) []Send {
-	pPos := int32(-1)
-	if serving != NoTree && servingAdj != nil {
-		pPos = int32(servingAdj.pos(p))
-	}
-	sc := scratchPool.Get().(*FloodScratch)
-	out := t.ForwardInto(sc, nil, src, p, from, serving, servingAdj, pPos, covered, first)
-	sc.lastCover = nil // do not pin a chain (and its trees) in the pool
-	scratchPool.Put(sc)
-	return out
-}
-
-// ForwardInto implements ScratchForwarder.
+// ForwardInto implements Forwarder.
 func (t TreeForwarding) ForwardInto(sc *FloodScratch, out []Send, src, p, from, serving overlay.PeerID, servingAdj *TreeAdj, pPos int32, covered *CoveredSet, first bool) []Send {
 	own := t.Opt.State(p)
 	if own == nil {
@@ -704,27 +655,15 @@ func pruneTree(sc *FloodScratch, st *PeerState, targets []int32) (*TreeAdj, int3
 	}
 
 	// nodes and adj share one id slab; off and adjPos share one int32
-	// slab; the header is its own small object. All outlive the scratch
-	// — messages carry them until the flood drains — so they come from
-	// the arena when one is armed.
-	var slab []overlay.PeerID
-	var ints []int32
+	// slab; the header is its own small object. All outlive the call —
+	// messages carry them until the flood drains — so they come from the
+	// arena.
+	slab := sc.arena.allocIDs(k + total)
+	ints := sc.arena.allocOffs(k + 1 + total)
+	hdr := sc.arena.allocHdr()
 	var cost []float32
-	var hdr *TreeAdj
-	if sc.arena != nil {
-		slab = sc.arena.allocIDs(k + total)
-		ints = sc.arena.allocOffs(k + 1 + total)
-		hdr = sc.arena.allocHdr()
-		if st.treeCost != nil {
-			cost = sc.arena.allocCosts(total)
-		}
-	} else {
-		slab = make([]overlay.PeerID, k+total)
-		ints = make([]int32, k+1+total)
-		hdr = &TreeAdj{}
-		if st.treeCost != nil {
-			cost = make([]float32, total)
-		}
+	if st.treeCost != nil {
+		cost = sc.arena.allocCosts(total)
 	}
 	nodes := slab[:k:k]
 	adj := slab[k:]

@@ -162,6 +162,17 @@ func TestTotalOverheadAccumulates(t *testing.T) {
 	}
 }
 
+// forward is the one-off form of ForwardInto: a fresh scratch, a fresh
+// output slice, and p's position within servingAdj looked up from the
+// tree instead of carried by a Send.
+func forward(fwd Forwarder, src, p, from, serving overlay.PeerID, servingAdj *TreeAdj, covered *CoveredSet, first bool) []Send {
+	pPos := int32(-1)
+	if serving != NoTree && servingAdj != nil {
+		pPos = int32(servingAdj.pos(p))
+	}
+	return fwd.ForwardInto(new(FloodScratch), nil, src, p, from, serving, servingAdj, pPos, covered, first)
+}
+
 func sendsEqual(t *testing.T, got []Send, want []Send) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -181,7 +192,7 @@ func TestTreeForwardingSourceLaunchesOwnTree(t *testing.T) {
 	fwd := TreeForwarding{Opt: o}
 	// tree(0) over the complete closure graph: 1-2(1), 2-3(1), 0-1(10).
 	// The source multicasts over its own tree: only peer 1, tagged 0.
-	sends := fwd.Forward(0, 0, -1, NoTree, nil, nil, true)
+	sends := forward(fwd, 0, 0, -1, NoTree, nil, nil, true)
 	sendsEqual(t, sends, []Send{{To: 1, Tree: 0}})
 	// The launch carries the full tree and claims the whole closure.
 	if sends[0].Adj.Len() != 4 {
@@ -199,15 +210,15 @@ func TestTreeForwardingRelayContinuesServingTree(t *testing.T) {
 	o := newOpt(t, net, 1)
 	o.RebuildTrees()
 	fwd := TreeForwarding{Opt: o}
-	src := fwd.Forward(0, 0, -1, NoTree, nil, nil, true)
+	src := forward(fwd, 0, 0, -1, NoTree, nil, nil, true)
 	adj, cs := src[0].Adj, src[0].Covered
 
 	// Relay 1, arriving from 0 on tree 0: continue tree(0) to 2. Its own
 	// closure {1,0,2} is fully covered, so no launch.
-	sendsEqual(t, fwd.Forward(0, 1, 0, 0, adj, cs, true), []Send{{To: 2, Tree: 0}})
+	sendsEqual(t, forward(fwd, 0, 1, 0, 0, adj, cs, true), []Send{{To: 2, Tree: 0}})
 	// Relay 2 continues to 3; relay 3 is a leaf with nothing new.
-	sendsEqual(t, fwd.Forward(0, 2, 1, 0, adj, cs, true), []Send{{To: 3, Tree: 0}})
-	sendsEqual(t, fwd.Forward(0, 3, 2, 0, adj, cs, true), nil)
+	sendsEqual(t, forward(fwd, 0, 2, 1, 0, adj, cs, true), []Send{{To: 3, Tree: 0}})
+	sendsEqual(t, forward(fwd, 0, 3, 2, 0, adj, cs, true), nil)
 }
 
 // TestTreeAdjDeadEnd pins the leaf test the flood kernel settles
@@ -278,10 +289,10 @@ func TestTreeForwardingLaunchCoversUncoveredNeighbor(t *testing.T) {
 	o := newOpt(t, net, 1)
 	o.RebuildTrees()
 	fwd := TreeForwarding{Opt: o}
-	src := fwd.Forward(0, 0, -1, NoTree, nil, nil, true)
+	src := forward(fwd, 0, 0, -1, NoTree, nil, nil, true)
 	sendsEqual(t, src, []Send{{To: 1, Tree: 0}})
 
-	sends := fwd.Forward(0, 1, 0, 0, src[0].Adj, src[0].Covered, true)
+	sends := forward(fwd, 0, 1, 0, 0, src[0].Adj, src[0].Covered, true)
 	sendsEqual(t, sends, []Send{{To: 2, Tree: 1}})
 	if !sends[0].Covered.Has(2) {
 		t.Fatal("launch did not extend the covered set")
@@ -300,13 +311,13 @@ func TestTreeForwardingElectionSuppressesRedundantLaunch(t *testing.T) {
 	o := newOpt(t, net, 2)
 	o.RebuildTrees()
 	fwd := TreeForwarding{Opt: o}
-	src := fwd.Forward(0, 0, -1, NoTree, nil, nil, true)
+	src := forward(fwd, 0, 0, -1, NoTree, nil, nil, true)
 	adj, cs := src[0].Adj, src[0].Covered
 
-	got := fwd.Forward(0, 1, 0, 0, adj, cs, true)
+	got := forward(fwd, 0, 1, 0, 0, adj, cs, true)
 	sendsEqual(t, got, []Send{{To: 2, Tree: 0}}) // continuation only, no launch
 
-	got = fwd.Forward(0, 2, 1, 0, adj, cs, true)
+	got = forward(fwd, 0, 2, 1, 0, adj, cs, true)
 	sendsEqual(t, got, []Send{{To: 3, Tree: 2}}) // pruned launch toward 3
 }
 
@@ -315,10 +326,10 @@ func TestTreeForwardingFallsBackToBlind(t *testing.T) {
 	o := newOpt(t, net, 1)
 	// No RebuildTrees: no peer has state → blind flooding.
 	fwd := TreeForwarding{Opt: o}
-	if got := fwd.Forward(0, 0, -1, NoTree, nil, nil, true); len(got) != 3 {
+	if got := forward(fwd, 0, 0, -1, NoTree, nil, nil, true); len(got) != 3 {
 		t.Fatalf("stateless sends = %v, want all 3 neighbors", got)
 	}
-	for _, snd := range fwd.Forward(0, 2, 0, NoTree, nil, nil, true) {
+	for _, snd := range forward(fwd, 0, 2, 0, NoTree, nil, nil, true) {
 		if snd.To == 0 {
 			t.Fatal("sends must exclude the arrival link")
 		}
@@ -326,7 +337,7 @@ func TestTreeForwardingFallsBackToBlind(t *testing.T) {
 			t.Fatal("blind fallback must not tag a tree")
 		}
 	}
-	if got := fwd.Forward(0, 2, 0, NoTree, nil, nil, false); got != nil {
+	if got := forward(fwd, 0, 2, 0, NoTree, nil, nil, false); got != nil {
 		t.Fatalf("blind duplicate copy forwarded: %v", got)
 	}
 }
@@ -341,17 +352,17 @@ func TestTreeForwardingSplicesAroundDeadTargets(t *testing.T) {
 	o.RebuildTrees()
 	net.Leave(1)
 	fwd := TreeForwarding{Opt: o}
-	got := fwd.Forward(0, 0, -1, NoTree, nil, nil, true)
+	got := forward(fwd, 0, 0, -1, NoTree, nil, nil, true)
 	sendsEqual(t, got, []Send{{To: 2, Tree: 0}})
 
 	// With both 1 and 2 gone, the splice reaches through to 3.
 	net.Leave(2)
-	got = fwd.Forward(0, 0, -1, NoTree, nil, nil, true)
+	got = forward(fwd, 0, 0, -1, NoTree, nil, nil, true)
 	sendsEqual(t, got, []Send{{To: 3, Tree: 0}})
 
 	// With the whole subtree gone there is nothing left to send.
 	net.Leave(3)
-	if got := fwd.Forward(0, 0, -1, NoTree, nil, nil, true); len(got) != 0 {
+	if got := forward(fwd, 0, 0, -1, NoTree, nil, nil, true); len(got) != 0 {
 		t.Fatalf("sends = %v, want empty when all targets left", got)
 	}
 }
@@ -364,7 +375,7 @@ func TestTreeForwardingUsesNonOverlayTreeLinks(t *testing.T) {
 	o.RebuildTrees()
 	net.Disconnect(0, 1)
 	fwd := TreeForwarding{Opt: o}
-	sendsEqual(t, fwd.Forward(0, 0, -1, NoTree, nil, nil, true), []Send{{To: 1, Tree: 0}})
+	sendsEqual(t, forward(fwd, 0, 0, -1, NoTree, nil, nil, true), []Send{{To: 1, Tree: 0}})
 }
 
 func TestTreeForwardingLaunchMayReturnThroughSender(t *testing.T) {
@@ -379,16 +390,16 @@ func TestTreeForwardingLaunchMayReturnThroughSender(t *testing.T) {
 	o := newOpt(t, net, 1)
 	o.RebuildTrees()
 	fwd := TreeForwarding{Opt: o}
-	src := fwd.Forward(2, 2, -1, NoTree, nil, nil, true)
+	src := forward(fwd, 2, 2, -1, NoTree, nil, nil, true)
 	sendsEqual(t, src, []Send{{To: 1, Tree: 2}})
-	sends := fwd.Forward(2, 1, 2, 2, src[0].Adj, src[0].Covered, true)
+	sends := forward(fwd, 2, 1, 2, 2, src[0].Adj, src[0].Covered, true)
 	sendsEqual(t, sends, []Send{{To: 0, Tree: 1}})
 }
 
 func TestBlindFloodingForward(t *testing.T) {
 	net := starChord(t)
 	fwd := BlindFlooding{Net: net}
-	got := fwd.Forward(0, 2, 0, NoTree, nil, nil, true)
+	got := forward(fwd, 0, 2, 0, NoTree, nil, nil, true)
 	// 2's neighbors: 0, 1, 3; minus arrival 0.
 	sendsEqual(t, got, []Send{{To: 1, Tree: NoTree}, {To: 3, Tree: NoTree}})
 }

@@ -8,13 +8,15 @@ import (
 )
 
 // floodScope runs the tree-forwarding propagation (the same rules the
-// gnutella engines apply: first-copy bookkeeping, per-(peer,tree)
+// gnutella flood kernel applies: first-copy bookkeeping, per-(peer,tree)
 // continuation dedup) and returns the set of peers reached from src.
 // It lives here rather than importing gnutella to avoid an import cycle.
 func floodScope(o *Optimizer, src overlay.PeerID) map[overlay.PeerID]bool {
 	fwd := TreeForwarding{Opt: o}
+	var sc FloodScratch
 	type msg struct {
 		to, from, serving overlay.PeerID
+		toPos             int32
 		adj               *TreeAdj
 		covered           *CoveredSet
 	}
@@ -26,7 +28,7 @@ func floodScope(o *Optimizer, src overlay.PeerID) map[overlay.PeerID]bool {
 			if s.Tree != NoTree && served[[2]overlay.PeerID{p, s.Tree}] {
 				continue
 			}
-			queue = append(queue, msg{to: s.To, from: p, serving: s.Tree, adj: s.Adj, covered: s.Covered})
+			queue = append(queue, msg{to: s.To, from: p, serving: s.Tree, toPos: s.ToPos, adj: s.Adj, covered: s.Covered})
 		}
 		for _, s := range sends {
 			if s.Tree != NoTree {
@@ -34,13 +36,13 @@ func floodScope(o *Optimizer, src overlay.PeerID) map[overlay.PeerID]bool {
 			}
 		}
 	}
-	emit(src, fwd.Forward(src, src, -1, NoTree, nil, nil, true))
+	emit(src, fwd.ForwardInto(&sc, nil, src, src, -1, NoTree, nil, -1, nil, true))
 	for len(queue) > 0 {
 		m := queue[0]
 		queue = queue[1:]
 		first := !visited[m.to]
 		visited[m.to] = true
-		emit(m.to, fwd.Forward(src, m.to, m.from, m.serving, m.adj, m.covered, first))
+		emit(m.to, fwd.ForwardInto(&sc, nil, src, m.to, m.from, m.serving, m.adj, m.toPos, m.covered, first))
 	}
 	return visited
 }

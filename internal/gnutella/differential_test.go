@@ -32,6 +32,7 @@ type refInflight struct {
 	to      overlay.PeerID
 	from    overlay.PeerID
 	serving overlay.PeerID
+	toPos   int32
 	adj     *core.TreeAdj
 	covered *core.CoveredSet
 	ttl     int
@@ -54,6 +55,11 @@ func (h *refHeap) Pop() any {
 	it := old[n-1]
 	*h = old[:n-1]
 	return it
+}
+
+// treeKey packs a (peer, tree) pair for the per-tree continuation dedup.
+func treeKey(p, tree overlay.PeerID) uint64 {
+	return uint64(uint32(p))<<32 | uint64(uint32(tree))
 }
 
 func referenceEvaluate(net *overlay.Network, fwd core.Forwarder, src overlay.PeerID, ttl int, responders map[overlay.PeerID]bool) QueryResult {
@@ -83,6 +89,7 @@ func referenceEvaluate(net *overlay.Network, fwd core.Forwarder, src overlay.Pee
 		return total
 	}
 
+	var sc core.FloodScratch // never rewound: every launch gets fresh memory
 	inj := net.Faults()
 	hazard := inj != nil || net.Dangling() > 0
 	nonce := fault.Nonce(uint64(src))
@@ -101,7 +108,7 @@ func referenceEvaluate(net *overlay.Network, fwd core.Forwarder, src overlay.Pee
 			}
 			c = inj.TransitDelay(c, nonce, int(from), int(s.To), tx)
 		}
-		heap.Push(&q, refInflight{at: at + delayDur(c), seq: seq, to: s.To, from: from, serving: s.Tree, adj: s.Adj, covered: s.Covered, ttl: ttl})
+		heap.Push(&q, refInflight{at: at + delayDur(c), seq: seq, to: s.To, from: from, serving: s.Tree, toPos: s.ToPos, adj: s.Adj, covered: s.Covered, ttl: ttl})
 		seq++
 	}
 	emit := func(at time.Duration, p overlay.PeerID, sends []core.Send, ttl int) {
@@ -119,7 +126,7 @@ func referenceEvaluate(net *overlay.Network, fwd core.Forwarder, src overlay.Pee
 	}
 
 	if ttl > 0 {
-		emit(0, src, fwd.Forward(src, src, -1, core.NoTree, nil, nil, true), ttl-1)
+		emit(0, src, fwd.ForwardInto(&sc, nil, src, src, -1, core.NoTree, nil, -1, nil, true), ttl-1)
 	}
 	for len(q) > 0 {
 		m := heap.Pop(&q).(refInflight)
@@ -143,7 +150,7 @@ func referenceEvaluate(net *overlay.Network, fwd core.Forwarder, src overlay.Pee
 		if m.ttl <= 0 {
 			continue
 		}
-		emit(m.at, m.to, fwd.Forward(src, m.to, m.from, m.serving, m.adj, m.covered, !seen), m.ttl-1)
+		emit(m.at, m.to, fwd.ForwardInto(&sc, nil, src, m.to, m.from, m.serving, m.adj, m.toPos, m.covered, !seen), m.ttl-1)
 	}
 	return res
 }

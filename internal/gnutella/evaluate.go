@@ -44,9 +44,10 @@ type QueryResult struct {
 
 const msPerDur = float64(time.Millisecond)
 
-// treeKey packs a (peer, tree) pair for the per-tree continuation dedup.
-func treeKey(p, tree overlay.PeerID) uint64 {
-	return uint64(uint32(p))<<32 | uint64(uint32(tree))
+// delayDur converts a physical cost (milliseconds of delay) to a virtual
+// duration.
+func delayDur(cost float64) time.Duration {
+	return time.Duration(cost * float64(time.Millisecond))
 }
 
 // Evaluate propagates one query from src with the given forwarder and
@@ -75,11 +76,10 @@ func EvaluateTrace(net *overlay.Network, fwd core.Forwarder, src overlay.PeerID,
 
 // evaluate runs the flood on a pooled Kernel: all per-query state lives
 // on epoch-stamped dense arrays, the event queue is a non-boxing typed
-// heap, and forwarding goes through the allocation-free scratch path
-// when the forwarder supports it. The (at, seq) total order makes the
-// pop sequence unique regardless of heap implementation, so results are
-// bit-identical to the map-based reference evaluator (the differential
-// test pins this).
+// heap, and forwarding runs in the kernel's reusable scratch. The
+// (at, seq) total order makes the pop sequence unique regardless of heap
+// implementation, so results are bit-identical to the map-based
+// reference evaluator (the differential test pins this).
 func evaluate(net *overlay.Network, fwd core.Forwarder, src overlay.PeerID, ttl int, responders map[overlay.PeerID]bool, trace bool) (QueryResult, []Hop) {
 	if !net.Alive(src) {
 		return QueryResult{FirstResponse: math.Inf(1)}, nil
@@ -145,18 +145,8 @@ func evaluate(net *overlay.Network, fwd core.Forwarder, src overlay.PeerID, ttl 
 	if math.IsInf(firstV, 1) {
 		firstV = -1 // JSON exports cannot carry +Inf
 	}
-	k.trace(tracer.KindQueryEnd, int32(k.Scope()), int32(k.Transmissions()), firstV)
-	res := QueryResult{
-		Scope:         k.Scope(),
-		TrafficCost:   k.Traffic(),
-		Transmissions: k.Transmissions(),
-		Duplicates:    k.Duplicates(),
-		FirstResponse: first,
-		Lost:          k.Lost(),
-		DeadLetters:   k.DeadLetters(),
-		Arrival:       k.ArrivalMap(),
-		TraceGUID:     k.TraceGUID(),
-	}
+	k.trace(tracer.KindQueryEnd, int32(k.scope), int32(k.transmissions), firstV)
+	res := k.Result(first)
 	var hops []Hop
 	if trace {
 		hops = append(hops, k.hops...) // copy out: the kernel is pooled

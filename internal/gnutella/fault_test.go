@@ -7,7 +7,6 @@ import (
 	"ace/internal/core"
 	"ace/internal/fault"
 	"ace/internal/overlay"
-	"ace/internal/sim"
 )
 
 func lossyInjector(t *testing.T, plan fault.Plan) *fault.Injector {
@@ -139,37 +138,5 @@ func TestEvaluateDeadLetters(t *testing.T) {
 	delivered := res.Scope - 1 + res.Duplicates
 	if delivered+res.Lost+res.DeadLetters != res.Transmissions {
 		t.Fatalf("conservation broke over debris: %+v", res)
-	}
-}
-
-// TestEngineLossyQuery: the interactive engine applies the same loss
-// plan — lost sends are billed, never delivered, and counted.
-func TestEngineLossyQuery(t *testing.T) {
-	run := func(plan *fault.Plan) *QueryStats {
-		net := chainNet(t, 16)
-		if plan != nil {
-			net.SetFaults(lossyInjector(t, *plan))
-		}
-		s := sim.NewEngine()
-		e := NewEngine(s, net, core.BlindFlooding{Net: net})
-		qs := e.InjectQuery(0, 64, 1, nil)
-		s.Run()
-		return qs
-	}
-	base := run(nil)
-	lossy := run(&fault.Plan{Seed: 4, LossRate: 0.4})
-	if lossy.Lost == 0 {
-		t.Fatal("engine flood lost nothing at 40% loss")
-	}
-	if lossy.Scope >= base.Scope {
-		t.Fatalf("lossy scope %d did not degrade from %d", lossy.Scope, base.Scope)
-	}
-	delivered := lossy.Scope - 1 + lossy.Duplicates + lossy.Dropped
-	if delivered+lossy.Lost != lossy.Transmissions {
-		t.Fatalf("engine conservation broke: %+v", lossy)
-	}
-	again := run(&fault.Plan{Seed: 4, LossRate: 0.4})
-	if again.Scope != lossy.Scope || again.Lost != lossy.Lost || again.TrafficCost != lossy.TrafficCost {
-		t.Fatal("engine lossy flood not reproducible")
 	}
 }

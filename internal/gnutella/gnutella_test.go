@@ -37,17 +37,6 @@ func lineNet(t *testing.T, attach []int) *overlay.Network {
 	return net
 }
 
-func TestMsgTypeString(t *testing.T) {
-	for m, want := range map[MsgType]string{
-		MsgPing: "ping", MsgPong: "pong", MsgQuery: "query",
-		MsgQueryHit: "queryhit", MsgCostTable: "costtable", MsgType(77): "msgtype(77)",
-	} {
-		if m.String() != want {
-			t.Fatalf("%d.String() = %q, want %q", m, m.String(), want)
-		}
-	}
-}
-
 func TestEvaluateChain(t *testing.T) {
 	// Overlay chain 0-1-2-3 on positions 0,1,2,3: every hop costs 1.
 	net := lineNet(t, []int{0, 1, 2, 3})
@@ -187,206 +176,5 @@ func TestTreeForwardingCutsTrafficKeepsScope(t *testing.T) {
 	// The paper's Phase 2 claim: scope is retained. Require ≥ 99%.
 	if float64(treeScope) < 0.99*float64(blindScope) {
 		t.Fatalf("tree scope %d lost >1%% vs blind %d", treeScope, blindScope)
-	}
-}
-
-func TestEngineMatchesEvaluateProperty(t *testing.T) {
-	// The closed-form evaluator and the message-level engine must agree
-	// exactly on static networks, for both forwarders.
-	for _, seed := range []int64{71, 72, 73} {
-		net, opt := buildACENet(t, seed, 120, 6, 2, 3)
-		forwarders := map[string]core.Forwarder{
-			"blind": core.BlindFlooding{Net: net},
-			"tree":  core.TreeForwarding{Opt: opt},
-		}
-		rng := sim.NewRNG(seed * 100)
-		for name, fwd := range forwarders {
-			for i := 0; i < 10; i++ {
-				src := overlay.PeerID(rng.Intn(net.N()))
-				responders := map[overlay.PeerID]bool{
-					overlay.PeerID(rng.Intn(net.N())): true,
-					overlay.PeerID(rng.Intn(net.N())): true,
-				}
-				want := Evaluate(net, fwd, src, DefaultTTL, responders)
-
-				s := sim.NewEngine()
-				eng := NewEngine(s, net, fwd)
-				qs := eng.InjectQuery(src, DefaultTTL, 0, func(p overlay.PeerID, _ int) bool { return responders[p] })
-				s.Run()
-
-				if qs.Scope != want.Scope {
-					t.Fatalf("%s seed=%d: scope %d vs %d", name, seed, qs.Scope, want.Scope)
-				}
-				if qs.Transmissions != want.Transmissions || qs.Duplicates != want.Duplicates {
-					t.Fatalf("%s seed=%d: tx/dup %d/%d vs %d/%d", name, seed,
-						qs.Transmissions, qs.Duplicates, want.Transmissions, want.Duplicates)
-				}
-				if math.Abs(qs.TrafficCost-want.TrafficCost) > 1e-6 {
-					t.Fatalf("%s seed=%d: traffic %v vs %v", name, seed, qs.TrafficCost, want.TrafficCost)
-				}
-				switch {
-				case math.IsInf(want.FirstResponse, 1):
-					if !math.IsInf(qs.FirstResponse, 1) {
-						t.Fatalf("%s seed=%d: engine found response %v, evaluate did not", name, seed, qs.FirstResponse)
-					}
-				case math.Abs(qs.FirstResponse-want.FirstResponse) > 1e-3:
-					t.Fatalf("%s seed=%d: response %v vs %v", name, seed, qs.FirstResponse, want.FirstResponse)
-				}
-			}
-		}
-	}
-}
-
-func TestEngineDropsToDeadPeers(t *testing.T) {
-	net := lineNet(t, []int{0, 100, 200})
-	net.Connect(0, 1)
-	net.Connect(1, 2)
-	s := sim.NewEngine()
-	eng := NewEngine(s, net, core.BlindFlooding{Net: net})
-	qs := eng.InjectQuery(0, DefaultTTL, 0, nil)
-	// Kill peer 1 while the first message is still in flight (delay 100ms).
-	s.At(delayDur(50), func() { net.Leave(1) })
-	s.Run()
-	if qs.Dropped != 1 {
-		t.Fatalf("Dropped = %d, want 1", qs.Dropped)
-	}
-	if qs.Scope != 1 {
-		t.Fatalf("Scope = %d, want 1 (flood severed)", qs.Scope)
-	}
-}
-
-func TestEngineResponseLostOnPathBreak(t *testing.T) {
-	// 0—1—2, responder at 2. Relay 1 dies after the query passes but
-	// before the hit returns: the hit must be lost.
-	net := lineNet(t, []int{0, 10, 20})
-	net.Connect(0, 1)
-	net.Connect(1, 2)
-	s := sim.NewEngine()
-	eng := NewEngine(s, net, core.BlindFlooding{Net: net})
-	qs := eng.InjectQuery(0, DefaultTTL, 0, func(p overlay.PeerID, _ int) bool { return p == 2 })
-	s.At(delayDur(25), func() { net.Leave(1) }) // query reaches 2 at t=20
-	s.Run()
-	if !math.IsInf(qs.FirstResponse, 1) {
-		t.Fatalf("FirstResponse = %v, want lost (+Inf)", qs.FirstResponse)
-	}
-	if qs.Responses != 0 {
-		t.Fatalf("Responses = %d, want 0", qs.Responses)
-	}
-}
-
-func TestEngineHorizonCleansUp(t *testing.T) {
-	net := lineNet(t, []int{0, 1})
-	net.Connect(0, 1)
-	s := sim.NewEngine()
-	eng := NewEngine(s, net, core.BlindFlooding{Net: net})
-	eng.Horizon = delayDur(1000)
-	eng.InjectQuery(0, DefaultTTL, 0, nil)
-	if len(eng.Queries()) != 1 {
-		t.Fatal("query not registered")
-	}
-	s.Run()
-	if len(eng.Queries()) != 0 {
-		t.Fatal("query state not reaped after horizon")
-	}
-}
-
-func TestEngineQueriesBounded(t *testing.T) {
-	net := lineNet(t, []int{0, 1})
-	net.Connect(0, 1)
-	s := sim.NewEngine()
-	eng := NewEngine(s, net, core.BlindFlooding{Net: net})
-	eng.MaxQueries = 4
-	for i := 0; i < 10; i++ {
-		eng.InjectQuery(0, DefaultTTL, 0, nil)
-		s.Run()
-	}
-	if len(eng.Queries()) != 4 {
-		t.Fatalf("retained %d queries, want cap 4", len(eng.Queries()))
-	}
-	// The survivors must be the newest GUIDs, 6..9.
-	for guid := range eng.Queries() {
-		if guid < 6 {
-			t.Fatalf("stale query %d survived eviction", guid)
-		}
-	}
-
-	// Unset cap falls back to the default bound.
-	eng2 := NewEngine(sim.NewEngine(), net, core.BlindFlooding{Net: net})
-	if eng2.maxQueries() != DefaultMaxQueries {
-		t.Fatalf("default cap = %d, want %d", eng2.maxQueries(), DefaultMaxQueries)
-	}
-	eng2.MaxQueries = -1
-	if eng2.maxQueries() != 0 {
-		t.Fatal("negative MaxQueries should disable the cap")
-	}
-}
-
-func TestPingRoundRefreshesHostCache(t *testing.T) {
-	net := lineNet(t, []int{0, 1, 2, 3})
-	net.Connect(0, 1)
-	net.Connect(1, 2)
-	net.Connect(2, 3)
-	s := sim.NewEngine()
-	eng := NewEngine(s, net, core.BlindFlooding{Net: net})
-	if n := eng.PingRound(0); n != 2 { // neighbor 1 + 1's neighbor 2
-		t.Fatalf("PingRound cached %d addresses, want 2", n)
-	}
-	// Rejoin must prefer the cached addresses {1, 2}.
-	net.Leave(0)
-	net.Join(sim.NewRNG(1), 0, 2)
-	for _, q := range net.Neighbors(0) {
-		if q != 1 && q != 2 {
-			t.Fatalf("rejoined to %d, not a pinged address", q)
-		}
-	}
-	net.Leave(0)
-	if eng.PingRound(0) != 0 {
-		t.Fatal("PingRound on dead peer should cache nothing")
-	}
-}
-
-// TestEngineStatisticsUnderChurn exercises the message-level engine in a
-// churning network and sanity-checks its aggregates against the
-// closed-form evaluator run at the same instants: queries evaluated
-// analytically at issue time must agree closely with the message-level
-// floods, whose only extra effects are peers leaving mid-flight.
-func TestEngineStatisticsUnderChurn(t *testing.T) {
-	net, opt := buildACENet(t, 91, 150, 8, 1, 4)
-	s := sim.NewEngine()
-	fwd := core.TreeForwarding{Opt: opt}
-	eng := NewEngine(s, net, fwd)
-	rng := sim.NewRNG(92)
-
-	var engineTraffic, analyticTraffic float64
-	queries := 0
-	var issue func()
-	issue = func() {
-		if queries >= 40 {
-			return
-		}
-		queries++
-		alive := net.AlivePeers()
-		src := alive[rng.Intn(len(alive))]
-		analytic := Evaluate(net, fwd, src, 64, nil)
-		analyticTraffic += analytic.TrafficCost
-		qs := eng.InjectQuery(src, 64, 0, nil)
-		// Churn one random peer between queries, then re-check.
-		s.After(delayDur(500), func() {
-			engineTraffic += qs.TrafficCost
-			victims := net.AlivePeers()
-			net.Leave(victims[rng.Intn(len(victims))])
-			issue()
-		})
-	}
-	issue()
-	s.Run()
-	if queries != 40 {
-		t.Fatalf("issued %d queries, want 40", queries)
-	}
-	// The engine loses a little traffic to dropped deliveries; the two
-	// totals must stay within 10%.
-	ratio := engineTraffic / analyticTraffic
-	if ratio < 0.9 || ratio > 1.1 {
-		t.Fatalf("engine traffic %v vs analytic %v (ratio %.3f)", engineTraffic, analyticTraffic, ratio)
 	}
 }

@@ -114,7 +114,7 @@ func HybridPeriodicalFlood(net *overlay.Network, rng *sim.RNG, src overlay.PeerI
 		forward(atMS, m.To, m.From, m.TTL)
 	}
 	return QueryResult{
-		Scope:         k.Scope(),
+		Scope:         k.scope,
 		TrafficCost:   traffic,
 		Transmissions: transmissions,
 		Duplicates:    duplicates,

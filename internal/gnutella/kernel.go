@@ -22,10 +22,9 @@ import (
 // building kit for flood variants in other packages (index caching in
 // internal/cache drives the same loop with its own delivery rules).
 type Kernel struct {
-	net  *overlay.Network
-	fwd  core.Forwarder
-	sfwd core.ScratchForwarder // non-nil when fwd supports the scratch path
-	fsc  core.FloodScratch
+	net *overlay.Network
+	fwd core.Forwarder
+	fsc core.FloodScratch
 
 	// Per-peer query state, valid when stamp equals the current epoch:
 	// arrival time, memoized cumulative inverse-path cost, and the
@@ -356,7 +355,7 @@ func AcquireKernel() *Kernel {
 
 // ReleaseKernel returns a kernel to the shared pool.
 func ReleaseKernel(k *Kernel) {
-	k.net, k.fwd, k.sfwd = nil, nil, nil
+	k.net, k.fwd = nil, nil
 	kernelPool.Put(k)
 }
 
@@ -366,7 +365,6 @@ func ReleaseKernel(k *Kernel) {
 // the epoch stamp; retained launch references are dropped.
 func (k *Kernel) Begin(net *overlay.Network, fwd core.Forwarder, trace bool) {
 	k.net, k.fwd = net, fwd
-	k.sfwd, _ = fwd.(core.ScratchForwarder)
 	n := net.N()
 	if len(k.arr) < n {
 		k.arrMark = make([]uint32, n)
@@ -431,10 +429,6 @@ func (k *Kernel) trace(kind tracer.Kind, a, b int32, v float64) {
 		Kind: kind, A: a, B: b, V: v,
 	})
 }
-
-// TraceGUID returns the query GUID minted by the last Begin (0 while
-// tracing is off).
-func (k *Kernel) TraceGUID() uint64 { return k.tguid }
 
 // Arrived reports whether p has received its first copy of the query.
 func (k *Kernel) Arrived(p overlay.PeerID) bool { return k.arrMark[p] == k.epoch }
@@ -524,20 +518,6 @@ func (k *Kernel) Back(p overlay.PeerID) (overlay.PeerID, bool) {
 	return k.arr[p].back, true
 }
 
-// Scope reports how many peers have received the query.
-func (k *Kernel) Scope() int { return k.scope }
-
-// Transmissions reports individual message sends so far.
-func (k *Kernel) Transmissions() int { return k.transmissions }
-
-// Duplicates reports copies that reached an already-visited peer so
-// far, counting those Emit settled at send time; once the queue drains
-// it is the query's duplicate deliveries.
-func (k *Kernel) Duplicates() int { return k.duplicates }
-
-// Traffic reports the accumulated physical delay cost of every send.
-func (k *Kernel) Traffic() float64 { return k.traffic }
-
 // Served reports whether p has already forwarded tree's tag this query.
 // Evaluators use it to skip the forwarder entirely on duplicate
 // deliveries whose continuation Emit would drop anyway — the sends are
@@ -573,15 +553,12 @@ func (k *Kernel) servedAdd(p, tree overlay.PeerID) {
 	}
 }
 
-// ForwardOf asks the forwarder for p's transmissions, using the
-// allocation-free scratch path when the forwarder supports it. The
-// returned slice is reused by the next call — consume it before then.
+// ForwardOf asks the forwarder for p's transmissions through the
+// kernel's scratch. The returned slice is reused by the next call —
+// consume it before then.
 func (k *Kernel) ForwardOf(src, p, from, serving overlay.PeerID, adj *core.TreeAdj, pPos int32, covered *core.CoveredSet, first bool) []core.Send {
-	if k.sfwd != nil {
-		k.sends = k.sfwd.ForwardInto(&k.fsc, k.sends[:0], src, p, from, serving, adj, pPos, covered, first)
-		return k.sends
-	}
-	return k.fwd.Forward(src, p, from, serving, adj, covered, first)
+	k.sends = k.fwd.ForwardInto(&k.fsc, k.sends[:0], src, p, from, serving, adj, pPos, covered, first)
+	return k.sends
 }
 
 // Emit sends a forward batch from `from` at virtual time at, enforcing
@@ -708,13 +685,24 @@ func (k *Kernel) Next() (Flight, bool) {
 	return f, true
 }
 
-// Lost reports how many of this flood's messages were lost in transit.
-func (k *Kernel) Lost() int { return k.lost }
-
-// DeadLetters reports how many sends were dropped because the target
-// had died — crash debris left it in an adjacency or multicast tree
-// built before it died. The sender paid for each.
-func (k *Kernel) DeadLetters() int { return k.deadLetters }
+// Result reads the drained flood out as a QueryResult: every tally the
+// kernel keeps (scope, traffic, transmissions, duplicates, lost
+// messages, dead letters), the arrival map and the trace GUID, with
+// first as the driver's first-response time. Evaluate and cache.Evaluate
+// both read their results here, so no tally can go missing from one.
+func (k *Kernel) Result(first float64) QueryResult {
+	return QueryResult{
+		Scope:         k.scope,
+		TrafficCost:   k.traffic,
+		Transmissions: k.transmissions,
+		Duplicates:    k.duplicates,
+		FirstResponse: first,
+		Lost:          k.lost,
+		DeadLetters:   k.deadLetters,
+		Arrival:       k.ArrivalMap(),
+		TraceGUID:     k.tguid,
+	}
+}
 
 // ArrivalMap materializes the public Arrival map from the dense arrays.
 func (k *Kernel) ArrivalMap() map[overlay.PeerID]float64 {

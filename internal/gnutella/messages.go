@@ -1,69 +1,16 @@
 // Package gnutella implements the flooding-based search substrate of the
-// paper: the Gnutella-style message vocabulary (plus the routing message
-// type ACE adds, §3.3 Phase 1), GUID-based duplicate suppression, blind
-// flooding, and inverse-path query responses.
+// paper: TTL-bounded query floods with per-query duplicate suppression,
+// blind flooding (§3.1), the ACE tree multicast (§3.3–3.4) behind the
+// same core.Forwarder seam, and inverse-path query responses.
 //
-// Two execution models are provided and cross-validated by tests:
-//
-//   - Evaluate: a closed-form per-query propagation (a timed Dijkstra-like
-//     expansion) used by the large parameter sweeps;
-//   - Engine: a full discrete-event, message-level simulation on
-//     internal/sim used by the dynamic-churn experiments and examples.
+// Every query flood runs on one engine, the pooled Kernel: a timed
+// propagation in (arrival time, send order) over epoch-stamped per-peer
+// state. Evaluate and EvaluateTrace drive it for the sweeps, the
+// walkthroughs and the dynamic-churn runs; ExpandingRing repeats
+// Evaluate at growing TTLs; HybridPeriodicalFlood and the index cache in
+// internal/cache drive the same loop with their own forwarding and
+// delivery rules. RandomWalk is the one search that does not flood.
 package gnutella
-
-import (
-	"fmt"
-
-	"ace/internal/overlay"
-)
-
-// MsgType enumerates the protocol messages. Ping/Pong maintain host
-// caches, Query/QueryHit implement search, and CostTable is the routing
-// message type the paper adds to the Gnutella protocol for ACE Phase 1.
-type MsgType uint8
-
-const (
-	MsgPing MsgType = iota + 1
-	MsgPong
-	MsgQuery
-	MsgQueryHit
-	MsgCostTable
-)
-
-// String implements fmt.Stringer.
-func (t MsgType) String() string {
-	switch t {
-	case MsgPing:
-		return "ping"
-	case MsgPong:
-		return "pong"
-	case MsgQuery:
-		return "query"
-	case MsgQueryHit:
-		return "queryhit"
-	case MsgCostTable:
-		return "costtable"
-	default:
-		return fmt.Sprintf("msgtype(%d)", uint8(t))
-	}
-}
-
-// GUID identifies a message flood for duplicate suppression, as in the
-// Gnutella descriptor header.
-type GUID uint64
-
-// Message is one protocol descriptor in flight.
-type Message struct {
-	GUID GUID
-	Type MsgType
-	// Src is the originator; From is the previous hop.
-	Src, From overlay.PeerID
-	// TTL is the remaining hop budget; Hops counts hops taken so far.
-	TTL, Hops int
-	// Keyword is the search payload of a query (an opaque object id in
-	// the simulation).
-	Keyword int
-}
 
 // DefaultTTL is Gnutella's customary time-to-live of 7.
 const DefaultTTL = 7
