@@ -108,12 +108,12 @@ type Config struct {
 	// across them, and overlay mutations apply through the seed-keyed
 	// cross-shard merge (parallelized over conflict-free segments).
 	// −1 caps the shard count at runtime.GOMAXPROCS and lets each
-	// fan-out narrow itself to its actual work — no more shards than
-	// work/minPerShard (shard.go: fanWidth) — so small rounds skip the
-	// fan-out overhead entirely. Sharded rounds are bit-identical across
-	// shard counts (Shards=k matches Shards=1 for every k, which is what
-	// makes the per-phase narrowing legal), but the sharded engine's
-	// Phase-3 propose/merge split is a different — equally
+	// shard-owned fan-out narrow itself to its actual work — no more
+	// shards than work/minPerShard (shard.go: fanWidth) — so small
+	// rounds skip the shard handoffs. Sharded rounds are bit-identical
+	// across shard counts (Shards=k matches Shards=1 for every k, which
+	// is what makes the per-phase narrowing legal), but the sharded
+	// engine's Phase-3 propose/merge split is a different — equally
 	// protocol-faithful — trajectory than the serial engine's in-place
 	// Phase 3; see DESIGN.md §5e.
 	Shards int

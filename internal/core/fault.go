@@ -108,24 +108,12 @@ func (o *Optimizer) faultPhase(peers []overlay.PeerID, report *StepReport) {
 	//
 	// Targets are independent (each target's pass writes only its own
 	// staleFor/excluded slots and reads frozen network state), so the
-	// sharded engine fans the sweep out across shards; the serial path
-	// runs the same per-target body through shard 0's accumulators, and
-	// foldSweep re-serializes both into the legacy accumulation order.
-	retries := o.retryLimit()
-	ttl := o.staleTTL()
-	if s := o.fanWidth(o.shardCount(), len(peers)); s > 1 {
-		o.probeSweepSharded(peers, inj, retries, ttl, s, report)
-		return
-	}
-	sh := o.ensureShards(1)[0]
-	sh.resetSweep()
-	sh.trace, sh.traceRound = o.ring0(), o.tr.round
-	ts := ringNow(sh.trace)
-	for _, b := range peers {
-		o.probeOneTarget(b, inj, retries, ttl, sh)
-	}
-	traceShardSpan(o.roundRing(), sh.trace, sh.traceRound, tracer.KindShardSweep, ts, int32(len(peers)), 0)
-	o.foldSweep(sh, report)
+	// sharded engine fans the sweep out across shards; the serial engine
+	// runs the same per-target body inline through shard 0's
+	// accumulators, and foldSweep re-serializes both into the legacy
+	// accumulation order.
+	s := max(1, o.fanWidth(o.shardCount(), len(peers)))
+	o.probeSweep(peers, inj, o.retryLimit(), o.staleTTL(), s, report)
 }
 
 // probeOneTarget runs one target's share of the Phase-1 probe/staleness

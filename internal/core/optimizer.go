@@ -4,10 +4,10 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
-	"sync"
 
 	"ace/internal/obs/tracer"
 	"ace/internal/overlay"
+	"ace/internal/par"
 	"ace/internal/sim"
 )
 
@@ -77,9 +77,6 @@ type Optimizer struct {
 	dirtySet peerBitset
 	flipSet  peerBitset
 	flipBuf  []overlay.PeerID
-
-	// scratch holds one buildState arena per rebuild worker.
-	scratch []*buildScratch
 
 	// Sharded-engine state (see shard.go): per-shard arenas, the
 	// pipelined-merge run buffers (one per merge-tree node, reused
@@ -487,9 +484,14 @@ func (o *Optimizer) rebuildDirty(events []overlay.Event, dirty *peerBitset, peer
 // buildStates runs Phases 1–2 for the listed peers in parallel (the
 // network is not mutated during a rebuild, and the distance oracle is
 // safe for concurrent reads), committing results and exchange
-// contributions in deterministic order. The serial engine distributes
-// work over a pool of GOMAXPROCS workers; the sharded engine assigns
-// each peer to the shard owning its id range (shard.go).
+// contributions in deterministic order. The sharded engine assigns each
+// peer to the shard owning its id range (shard.go); otherwise
+// min(GOMAXPROCS, len(list)) workers claim peers one at a time off
+// par.Run's cursor, each building into its own arena. That width
+// ignores fanWidth's per-shard floor on purpose: the floor prices a
+// shard handoff against ~512 cheap sweep targets, but one state is a
+// closure BFS plus a dense Prim, so a few hundred dirty peers already
+// keep a second core busy and the floor would leave them on one.
 func (o *Optimizer) buildStates(list []overlay.PeerID, rc *repairCtx) {
 	if len(list) == 0 {
 		return
@@ -499,51 +501,34 @@ func (o *Optimizer) buildStates(list []overlay.PeerID, rc *repairCtx) {
 		return
 	}
 	states := o.stateSlots(len(list))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(list) {
-		workers = len(list)
-	}
-	for len(o.scratch) < workers {
-		o.scratch = append(o.scratch, &buildScratch{})
-	}
-	for w := 0; w < workers; w++ {
-		o.scratch[w].tally = repairTally{}
-		o.scratch[w].trace, o.scratch[w].traceRound = o.ringFor(w), o.tr.round
-	}
+	arenas := o.buildArenas(min(runtime.GOMAXPROCS(0), len(list)))
+	ts := o.traceNow()
+	par.Run(len(arenas), len(list), func(w, i int) {
+		sh := arenas[w]
+		states[i] = buildState(&sh.scratch, o.net, list[i], &o.cfg, o.excluded, rc)
+		sh.built++
+		sh.buildEnd = ringNow(sh.scratch.trace)
+	})
 	rr := o.roundRing()
-	if workers <= 1 {
-		sc := o.scratch[0]
-		ts := ringNow(sc.trace)
-		for i, p := range list {
-			states[i] = buildState(sc, o.net, p, &o.cfg, o.excluded, rc)
+	for _, sh := range arenas {
+		if sh.built > 0 {
+			traceShardSpan(rr, sh.scratch.trace, sh.scratch.traceRound, tracer.KindShardBuild, ts, sh.buildEnd, int32(sh.built), 0)
 		}
-		traceShardSpan(rr, sc.trace, sc.traceRound, tracer.KindShardBuild, ts, int32(len(list)), 0)
-	} else {
-		var wg sync.WaitGroup
-		work := make(chan int)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(sc *buildScratch) {
-				defer wg.Done()
-				ts := ringNow(sc.trace)
-				built := 0
-				for i := range work {
-					states[i] = buildState(sc, o.net, list[i], &o.cfg, o.excluded, rc)
-					built++
-				}
-				traceShardSpan(rr, sc.trace, sc.traceRound, tracer.KindShardBuild, ts, int32(built), 0)
-			}(o.scratch[w])
-		}
-		for i := range list {
-			work <- i
-		}
-		close(work)
-		wg.Wait()
-	}
-	for w := 0; w < workers; w++ {
-		o.noteRepair(o.scratch[w].tally)
+		o.noteRepair(sh.scratch.tally)
 	}
 	o.commitStates(list, states)
+}
+
+// buildArenas readies k shard arenas for a build fan-out: build counts
+// and repair tallies cleared, trace rings refreshed for this round.
+func (o *Optimizer) buildArenas(k int) []*shardState {
+	arenas := o.ensureShards(k)
+	for w, sh := range arenas {
+		sh.built = 0
+		sh.scratch.tally = repairTally{}
+		sh.scratch.trace, sh.scratch.traceRound = o.ringFor(w), o.tr.round
+	}
+	return arenas
 }
 
 // noteRepair folds one worker's repair tally into the round aggregate

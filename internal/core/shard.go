@@ -5,12 +5,12 @@ import (
 	"runtime"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"ace/internal/fault"
 	"ace/internal/obs"
 	"ace/internal/obs/tracer"
 	"ace/internal/overlay"
+	"ace/internal/par"
 	"ace/internal/sim"
 )
 
@@ -122,7 +122,8 @@ func (bs *peerBitset) count() int {
 // shardState is one shard's private arena: scratch for closure builds,
 // a bitset for the posting scan, buffers for the probe sweep and the
 // Phase-3 propose pass. Nothing in it is read by another shard while a
-// fan-out is in flight.
+// fan-out is in flight. Unsharded state builds use the same arenas, one
+// per build worker (buildStates).
 type shardState struct {
 	scratch buildScratch
 	dirty   peerBitset
@@ -144,7 +145,10 @@ type shardState struct {
 	probes, probeTimeouts, blacklistHits int
 	sortNanos                            int64
 
-	built int // states built in the last sharded rebuild
+	// States built in the last rebuild fan-out, and (while tracing) when
+	// the arena finished its last one: a pooled worker's span ends there.
+	built    int
+	buildEnd int64
 
 	// Causal-trace sink for this shard's fan-out work, refreshed per
 	// round by the engine (nil while tracing is off). Each shard owns
@@ -273,89 +277,76 @@ func (o *Optimizer) ownerSpans(list []overlay.PeerID, s int) [][2]int {
 // result is bit-identical to the serial engine's.
 func (o *Optimizer) buildStatesSharded(list []overlay.PeerID, s int, rc *repairCtx) {
 	states := o.stateSlots(len(list))
-	shards := o.ensureShards(s)
+	shards := o.buildArenas(s)
 	spans := o.ownerSpans(list, s)
-	var wg sync.WaitGroup
 	rr := o.roundRing()
-	maxBuilt := 0
-	for k := 0; k < s; k++ {
+	par.Run(s, s, func(_, k int) {
 		sh := shards[k]
-		sub := list[spans[k][0]:spans[k][1]]
-		out := states[spans[k][0]:spans[k][1]]
-		sh.built = len(sub)
-		sh.scratch.tally = repairTally{}
-		sh.scratch.trace, sh.scratch.traceRound = o.ringFor(k), o.tr.round
-		if len(sub) > maxBuilt {
-			maxBuilt = len(sub)
+		lo, hi := spans[k][0], spans[k][1]
+		if lo == hi {
+			return
 		}
-		if len(sub) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(sh *shardState, sub []overlay.PeerID, out []*PeerState) {
-			defer wg.Done()
-			ts := ringNow(sh.scratch.trace)
-			for i, p := range sub {
-				st := buildState(&sh.scratch, o.net, p, &o.cfg, o.excluded, rc)
-				if rc != nil && rc.recycle {
-					// The state this one replaces is dead the moment the
-					// build finishes (nothing re-reads it before commit
-					// on recycle-eligible rounds) — reclaim its slabs for
-					// the next build on this shard. The identity fast
-					// path returns the old state itself; never reclaim
-					// a state that is still the live result.
-					if old := rc.states[p]; old != nil && old != st {
-						sh.scratch.recycleSlabs(old)
-					}
+		ts := ringNow(sh.scratch.trace)
+		for i := lo; i < hi; i++ {
+			p := list[i]
+			st := buildState(&sh.scratch, o.net, p, &o.cfg, o.excluded, rc)
+			if rc != nil && rc.recycle {
+				// The state this one replaces is dead the moment the
+				// build finishes (nothing re-reads it before commit on
+				// recycle-eligible rounds) — reclaim its slabs for the
+				// next build on this shard. The identity fast path
+				// returns the old state itself; never reclaim a state
+				// that is still the live result.
+				if old := rc.states[p]; old != nil && old != st {
+					sh.scratch.recycleSlabs(old)
 				}
-				out[i] = st
 			}
-			traceShardSpan(rr, sh.scratch.trace, sh.scratch.traceRound, tracer.KindShardBuild, ts, int32(len(sub)), 0)
-		}(sh, sub, out)
-	}
-	wg.Wait()
-	for k := 0; k < s; k++ {
-		o.noteRepair(shards[k].scratch.tally)
+			states[i] = st
+		}
+		sh.built = hi - lo
+		traceShardSpan(rr, sh.scratch.trace, sh.scratch.traceRound, tracer.KindShardBuild, ts, ringNow(sh.scratch.trace), int32(hi-lo), 0)
+	})
+	maxBuilt := 0
+	for _, sh := range shards {
+		o.noteRepair(sh.scratch.tally)
+		maxBuilt = max(maxBuilt, sh.built)
 	}
 	o.lastImbalance = float64(maxBuilt)/(float64(len(list))/float64(s)) - 1
 	if obs.Enabled() {
-		for k := 0; k < s; k++ {
-			hShardRebuilt.Observe(uint64(shards[k].built))
+		for _, sh := range shards {
+			hShardRebuilt.Observe(uint64(sh.built))
 		}
 	}
 	o.commitStates(list, states)
 }
 
-// probeSweepSharded fans the Phase-1 probe/staleness sweep out across
-// shards. Each target is owned by exactly one shard (staleFor/excluded
-// writes stay disjoint) and folding the shard accumulators in shard
-// order reproduces the serial sweep bit for bit (see foldSweep).
-func (o *Optimizer) probeSweepSharded(peers []overlay.PeerID, inj *fault.Injector, retries int, ttl int32, s int, report *StepReport) {
+// probeSweep runs the Phase-1 probe/staleness sweep over s shards (one
+// runs it inline). Each target is owned by exactly one shard
+// (staleFor/excluded writes stay disjoint) and folding the shard
+// accumulators in shard order reproduces the serial sweep bit for bit
+// (see foldSweep).
+func (o *Optimizer) probeSweep(peers []overlay.PeerID, inj *fault.Injector, retries int, ttl int32, s int, report *StepReport) {
 	shards := o.ensureShards(s)
 	spans := o.ownerSpans(peers, s)
-	var wg sync.WaitGroup
-	rr := o.roundRing()
-	for k := 0; k < s; k++ {
-		sh := shards[k]
+	for k, sh := range shards {
 		sh.resetSweep()
 		sh.trace, sh.traceRound = o.ringFor(k), o.tr.round
+	}
+	rr := o.roundRing()
+	par.Run(s, s, func(_, k int) {
+		sh := shards[k]
 		sub := peers[spans[k][0]:spans[k][1]]
 		if len(sub) == 0 {
-			continue
+			return
 		}
-		wg.Add(1)
-		go func(sh *shardState, sub []overlay.PeerID) {
-			defer wg.Done()
-			ts := ringNow(sh.trace)
-			for _, b := range sub {
-				o.probeOneTarget(b, inj, retries, ttl, sh)
-			}
-			traceShardSpan(rr, sh.trace, sh.traceRound, tracer.KindShardSweep, ts, int32(len(sub)), 0)
-		}(sh, sub)
-	}
-	wg.Wait()
-	for k := 0; k < s; k++ {
-		o.foldSweep(shards[k], report)
+		ts := ringNow(sh.trace)
+		for _, b := range sub {
+			o.probeOneTarget(b, inj, retries, ttl, sh)
+		}
+		traceShardSpan(rr, sh.trace, sh.traceRound, tracer.KindShardSweep, ts, ringNow(sh.trace), int32(len(sub)), 0)
+	})
+	for _, sh := range shards {
+		o.foldSweep(sh, report)
 	}
 }
 
@@ -365,31 +356,23 @@ func (o *Optimizer) probeSweepSharded(peers []overlay.PeerID, inj *fault.Injecto
 // into dst. Set union is order-free, so the resolved dirty region is
 // identical to the serial scan's for any shard count or schedule.
 func (o *Optimizer) scanPostingsSharded(dst *peerBitset, endpoints []overlay.PeerID, sparse bool, s int) {
-	shards := o.ensureShards(s)
-	n := o.net.N()
 	chunk := (len(endpoints) + s - 1) / s
-	var wg sync.WaitGroup
-	used := 0
-	for k := 0; k < s && k*chunk < len(endpoints); k++ {
+	used := (len(endpoints) + chunk - 1) / chunk
+	shards := o.ensureShards(used)
+	n := o.net.N()
+	par.Run(used, used, func(_, k int) {
 		sh := shards[k]
 		sh.dirty.reset(n)
-		sub := endpoints[k*chunk : min((k+1)*chunk, len(endpoints))]
-		used++
-		wg.Add(1)
-		go func(sh *shardState, sub []overlay.PeerID) {
-			defer wg.Done()
-			for _, e := range sub {
-				o.rev.forEach(e, func(p overlay.PeerID, interior bool) {
-					if interior || sparse {
-						sh.dirty.set(p)
-					}
-				})
-			}
-		}(sh, sub)
-	}
-	wg.Wait()
-	for k := 0; k < used; k++ {
-		dst.or(&shards[k].dirty)
+		for _, e := range endpoints[k*chunk : min((k+1)*chunk, len(endpoints))] {
+			o.rev.forEach(e, func(p overlay.PeerID, interior bool) {
+				if interior || sparse {
+					sh.dirty.set(p)
+				}
+			})
+		}
+	})
+	for _, sh := range shards {
+		dst.or(&sh.dirty)
 	}
 }
 
@@ -521,7 +504,7 @@ func (o *Optimizer) proposePhase3(peers []overlay.PeerID, base uint64, s int, re
 			}
 			sortProposals(sh.props)
 			sh.sortNanos = mark.End()
-			traceShardSpan(rr, sh.trace, sh.traceRound, tracer.KindShardPropose, ts, int32(len(sh.props)), int32(hi-lo))
+			traceShardSpan(rr, sh.trace, sh.traceRound, tracer.KindShardPropose, ts, ringNow(sh.trace), int32(len(sh.props)), int32(hi-lo))
 			ready[k] <- sh.props
 		}
 		if s == 1 {
@@ -815,6 +798,7 @@ type mergeSegments struct {
 	serIdx     []int32          // serial-fallback segments, stream order
 	txs        []overlay.StagedTx
 	reports    []StepReport // one per apply worker
+	cxs        []applyCtx   // worker w applies through cxs[w] into reports[w]
 }
 
 // ensure sizes the per-peer stamp arrays for n peers.
@@ -963,43 +947,26 @@ func (o *Optimizer) applyMerged(props []proposal, s int, report *StepReport) {
 		txs[i].Reset()
 	}
 
-	// Parallel batch: workers pull conflict-free segments off an atomic
+	// Parallel batch: workers pull conflict-free segments off par.Run's
 	// cursor — claiming order is irrelevant because the segments are
 	// pairwise disjoint and each target a private StagedTx.
 	workers := min(s, len(ms.parIdx))
-	if workers <= 1 {
-		cx := applyCtx{report: report, trace: o.ring0()}
-		for _, g := range ms.parIdx {
-			cx.tx = &txs[g]
-			o.applySegment(props[ms.off[g]:ms.off[g+1]], &cx)
-		}
-	} else {
-		for len(ms.reports) < workers {
-			ms.reports = append(ms.reports, StepReport{})
-		}
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			ms.reports[w] = StepReport{}
-			wg.Add(1)
-			go func(rep *StepReport, ring *tracer.Ring) {
-				defer wg.Done()
-				cx := applyCtx{report: rep, trace: ring}
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(ms.parIdx) {
-						return
-					}
-					g := ms.parIdx[i]
-					cx.tx = &txs[g]
-					o.applySegment(props[ms.off[g]:ms.off[g+1]], &cx)
-				}
-			}(&ms.reports[w], o.ringFor(w))
-		}
-		wg.Wait()
-		for w := 0; w < workers; w++ {
-			foldMergeReport(report, &ms.reports[w])
-		}
+	for len(ms.reports) < workers {
+		ms.reports = append(ms.reports, StepReport{})
+		ms.cxs = append(ms.cxs, applyCtx{})
+	}
+	for w := 0; w < workers; w++ {
+		ms.reports[w] = StepReport{}
+		ms.cxs[w] = applyCtx{report: &ms.reports[w], trace: o.ringFor(w)}
+	}
+	par.Run(workers, len(ms.parIdx), func(w, i int) {
+		g := ms.parIdx[i]
+		cx := &ms.cxs[w]
+		cx.tx = &txs[g]
+		o.applySegment(props[ms.off[g]:ms.off[g+1]], cx)
+	})
+	for w := 0; w < workers; w++ {
+		foldMergeReport(report, &ms.reports[w])
 	}
 
 	// Serial fallback, stream order, after the parallel batch: the later

@@ -139,20 +139,21 @@ func traceSpan(r *tracer.Ring, round int32, kind tracer.Kind, start int64, a, b 
 	})
 }
 
-// traceShardSpan records a per-shard work span through the round-scope
-// ring rr, attributed to shard ring r's track (see Ring.RecordAs). The
+// traceShardSpan records a per-shard work span [start, end) through the
+// round-scope ring rr, attributed to shard ring r's track (see
+// Ring.RecordAs); both ends are ringNow(r) readings. The
 // chatty shard tracks wrap long before a full session ends; routing
 // the few summary spans per round through the quiet ring keeps the
 // analyzer's straggler attribution intact for every round while the
 // spans still render on the shard's own track. No-op when r is nil.
 // Shard goroutines share rr here — RecordAs is locked, and the rate is
 // a handful of events per round.
-func traceShardSpan(rr, r *tracer.Ring, round int32, kind tracer.Kind, start int64, a, b int32) {
+func traceShardSpan(rr, r *tracer.Ring, round int32, kind tracer.Kind, start, end int64, a, b int32) {
 	if r == nil || rr == nil {
 		return
 	}
 	rr.RecordAs(r.Track(), tracer.Event{
-		TS: start, Dur: tracer.Default().Now() - start, Round: round, Kind: kind, A: a, B: b,
+		TS: start, Dur: end - start, Round: round, Kind: kind, A: a, B: b,
 	})
 }
 

@@ -12,13 +12,13 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sync"
 
 	"ace/internal/core"
 	"ace/internal/gnutella"
 	"ace/internal/metrics"
 	"ace/internal/obs"
 	"ace/internal/overlay"
+	"ace/internal/par"
 	"ace/internal/physical"
 	"ace/internal/sim"
 	"ace/internal/topology"
@@ -240,38 +240,14 @@ func warmOracle(net *overlay.Network, alive []overlay.PeerID) {
 	oracle.Warm(sources, 0)
 }
 
-// forEach runs fn over the items with a bounded worker pool. Results
-// must be written into per-index slots by fn; forEach returns the first
-// error.
+// forEach runs fn over [0, n) on GOMAXPROCS workers (par.Run). Results
+// must be written into per-index slots by fn; forEach returns the error
+// of the lowest failing index, so which failure is reported does not
+// depend on the schedule.
 func forEach(n int, fn func(i int) error) error {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	var wg sync.WaitGroup
-	errCh := make(chan error, n)
-	work := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				if err := fn(i); err != nil {
-					errCh <- err
-				}
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		work <- i
-	}
-	close(work)
-	wg.Wait()
-	close(errCh)
-	for err := range errCh {
+	errs := make([]error, n)
+	par.Run(runtime.GOMAXPROCS(0), n, func(_, i int) { errs[i] = fn(i) })
+	for _, err := range errs {
 		if err != nil {
 			return err
 		}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"errors"
 	"math"
 	"runtime"
 	"testing"
@@ -555,5 +556,37 @@ func TestMeasureQueriesParallelDeterminism(t *testing.T) {
 	again := envR.MeasureQueries(core.TreeForwarding{Opt: optR}, 24, "det")
 	if again != parTree {
 		t.Fatalf("parallel rerun diverged:\n%+v\n%+v", again, parTree)
+	}
+}
+
+// TestForEachReturnsLowestIndexError: with failures at indices 3 and 7,
+// forEach reports index 3's error on every schedule. Index 3 holds its
+// failure back until index 7 has failed (or, with one worker, where 7
+// can only run after 3, until a short timer fires), so a forEach that
+// returned whichever error arrived first would report 7's.
+func TestForEachReturnsLowestIndexError(t *testing.T) {
+	err3, err7 := errors.New("index 3"), errors.New("index 7")
+	for run := 0; run < 20; run++ {
+		seven := make(chan struct{})
+		err := forEach(10, func(i int) error {
+			switch i {
+			case 3:
+				select {
+				case <-seven:
+				case <-time.After(20 * time.Millisecond):
+				}
+				return err3
+			case 7:
+				close(seven)
+				return err7
+			}
+			return nil
+		})
+		if err != err3 {
+			t.Fatalf("run %d: forEach returned %v, want index 3's error", run, err)
+		}
+	}
+	if err := forEach(0, func(int) error { return err7 }); err != nil {
+		t.Fatalf("forEach over no items returned %v", err)
 	}
 }

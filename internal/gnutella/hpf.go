@@ -32,7 +32,10 @@ const (
 // The engine rides the pooled flood kernel for its event queue and
 // arrival bookkeeping but keeps its own float-millisecond clock and
 // traffic accounting (HPF timestamps sends before quantizing to the
-// virtual clock, so its arithmetic must not change).
+// virtual clock, so its arithmetic must not change). A copy popped for
+// a peer that has crashed (its half-open edges not yet purged) counts
+// as a dead letter and goes no further. The fault plan's message loss
+// and jitter are not modelled here.
 func HybridPeriodicalFlood(net *overlay.Network, rng *sim.RNG, src overlay.PeerID, ttl, fanout, period int, sel HPFSelect, responders map[overlay.PeerID]bool) QueryResult {
 	if !net.Alive(src) {
 		return QueryResult{FirstResponse: math.Inf(1)}
@@ -54,7 +57,7 @@ func HybridPeriodicalFlood(net *overlay.Network, rng *sim.RNG, src overlay.PeerI
 	}
 
 	traffic := 0.0
-	transmissions, duplicates := 0, 0
+	transmissions, duplicates, deadLetters := 0, 0, 0
 	var targets []overlay.PeerID
 	forward := func(at float64, p, from overlay.PeerID, hop int) {
 		if hop >= ttl {
@@ -101,6 +104,11 @@ func HybridPeriodicalFlood(net *overlay.Network, rng *sim.RNG, src overlay.PeerI
 			break
 		}
 		atMS := float64(m.At) / msPerDur
+		if !net.Alive(m.To) {
+			// Crash debris: the copy was paid for and is lost.
+			deadLetters++
+			continue
+		}
 		if k.Arrived(m.To) {
 			duplicates++
 			continue
@@ -119,6 +127,7 @@ func HybridPeriodicalFlood(net *overlay.Network, rng *sim.RNG, src overlay.PeerI
 		Transmissions: transmissions,
 		Duplicates:    duplicates,
 		FirstResponse: first,
+		DeadLetters:   deadLetters,
 		Arrival:       k.ArrivalMap(),
 	}
 }

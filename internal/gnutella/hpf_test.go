@@ -90,3 +90,22 @@ func TestHPFDeadSourceAndClamps(t *testing.T) {
 		t.Fatalf("clamped run: %+v", r)
 	}
 }
+
+// TestHPFDeadLetters: over crash debris HPF pays for the copy sent to
+// the crashed peer and drops it — the peer never arrives and relays
+// nothing — matching Evaluate on the same chain.
+func TestHPFDeadLetters(t *testing.T) {
+	net := chainNet(t, 6)
+	net.Crash(3)
+	r := HybridPeriodicalFlood(net, sim.NewRNG(5), 0, 64, 2, 1, HPFRandom, nil)
+	if _, ok := r.Arrival[3]; ok {
+		t.Fatal("crashed peer 3 arrived")
+	}
+	if r.Scope != 3 || r.DeadLetters != 1 {
+		t.Fatalf("scope %d, dead letters %d; want 3 and 1 (the chain is severed at peer 3)", r.Scope, r.DeadLetters)
+	}
+	if got := r.Scope - 1 + r.Duplicates + r.DeadLetters; got != r.Transmissions {
+		t.Fatalf("conservation broke: scope−1 %d + duplicates %d + dead letters %d = %d, transmissions %d",
+			r.Scope-1, r.Duplicates, r.DeadLetters, got, r.Transmissions)
+	}
+}

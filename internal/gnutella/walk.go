@@ -117,9 +117,10 @@ func indexOf(xs []overlay.PeerID, v overlay.PeerID) int {
 
 // ExpandingRing implements the iterative-deepening baseline (Lv et al.):
 // flood with TTL 1, then 2, … up to maxTTL, stopping at the first ring
-// that produces an answer. Each ring is a fresh flood whose traffic adds
-// up — cheap for popular objects, more expensive than one flood for rare
-// ones, and in every case paying the physical delay of each logical hop.
+// that produces an answer. Each ring is a fresh flood whose traffic,
+// sends, duplicates, losses and dead letters add up — cheap for popular
+// objects, more expensive than one flood for rare ones, and in every
+// case paying the physical delay of each logical hop.
 func ExpandingRing(net *overlay.Network, fwd core.Forwarder, src overlay.PeerID, maxTTL int, responders map[overlay.PeerID]bool) QueryResult {
 	var total QueryResult
 	total.FirstResponse = math.Inf(1)
@@ -129,6 +130,8 @@ func ExpandingRing(net *overlay.Network, fwd core.Forwarder, src overlay.PeerID,
 		total.TrafficCost += r.TrafficCost
 		total.Transmissions += r.Transmissions
 		total.Duplicates += r.Duplicates
+		total.Lost += r.Lost
+		total.DeadLetters += r.DeadLetters
 		if r.Scope > total.Scope {
 			total.Scope = r.Scope
 			total.Arrival = r.Arrival

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ace/internal/core"
+	"ace/internal/fault"
 	"ace/internal/overlay"
 	"ace/internal/sim"
 )
@@ -128,5 +129,40 @@ func TestExpandingRingMiss(t *testing.T) {
 	}
 	if r.Scope != 3 {
 		t.Fatalf("Scope = %d, want 3", r.Scope)
+	}
+}
+
+// TestExpandingRingReportsLosses: the rings' lost messages and dead
+// letters add up like their sends. On a lossy 16-peer unit chain the
+// totals must equal the sums over the same rings run through Evaluate
+// (the plan hashes message identity, so each ring replays exactly).
+func TestExpandingRingReportsLosses(t *testing.T) {
+	net := chainNet(t, 16)
+	net.SetFaults(lossyInjector(t, fault.Plan{Seed: 4, LossRate: 0.3}))
+	fwd := core.BlindFlooding{Net: net}
+	const maxTTL = 8
+	got := ExpandingRing(net, fwd, 0, maxTTL, nil)
+	var want QueryResult
+	for ttl := 1; ttl <= maxTTL; ttl++ {
+		r := Evaluate(net, fwd, 0, ttl, nil)
+		want.Transmissions += r.Transmissions
+		want.Lost += r.Lost
+		want.DeadLetters += r.DeadLetters
+	}
+	if want.Lost != 8 {
+		t.Fatalf("rings run through Evaluate lost %d, want 8 (fixture changed)", want.Lost)
+	}
+	if got.Transmissions != want.Transmissions || got.Lost != want.Lost || got.DeadLetters != want.DeadLetters {
+		t.Fatalf("ExpandingRing sends/lost/dead = %d/%d/%d, rings sum to %d/%d/%d",
+			got.Transmissions, got.Lost, got.DeadLetters, want.Transmissions, want.Lost, want.DeadLetters)
+	}
+
+	// Over crash debris the dead letters add up the same way.
+	net = chainNet(t, 6)
+	net.Crash(3)
+	fwd = core.BlindFlooding{Net: net}
+	got = ExpandingRing(net, fwd, 0, 5, nil)
+	if got.DeadLetters != 3 { // rings of TTL 3, 4 and 5 each reach the crashed peer
+		t.Fatalf("ExpandingRing over debris: %d dead letters, want 3", got.DeadLetters)
 	}
 }

@@ -505,8 +505,9 @@ func (n *Network) JoinUniform(rng *sim.RNG, p PeerID, degreeTarget int) int {
 const maxHostCache = 64
 
 // Leave removes a live peer and drops all its links. Its neighbor
-// addresses are merged into the front of its host cache for a later
-// rejoin, without displacing older Ping/Pong-learned entries. Each
+// addresses go to the front of its host cache for a later rejoin, ahead
+// of the addresses earlier departures left there, up to maxHostCache
+// entries. Each
 // dropped link is journaled as a disconnect before the leave itself, so
 // journal consumers see the exact endpoints the departure touched.
 func (n *Network) Leave(p PeerID) {
@@ -640,20 +641,6 @@ func (n *Network) SetFaults(in *fault.Injector) { n.faults = in }
 
 // Faults returns the attached fault injector, nil when none.
 func (n *Network) Faults() *fault.Injector { return n.faults }
-
-// CacheAddresses replaces p's host cache with the given addresses (the
-// result of a Ping/Pong exchange). Duplicates and p itself are dropped.
-func (n *Network) CacheAddresses(p PeerID, addrs []PeerID) {
-	seen := make(map[PeerID]bool, len(addrs))
-	out := make([]PeerID, 0, len(addrs))
-	for _, a := range addrs {
-		if a != p && !seen[a] {
-			seen[a] = true
-			out = append(out, a)
-		}
-	}
-	n.hostCache[p] = out
-}
 
 // AverageDegree reports the mean degree over live peers.
 func (n *Network) AverageDegree() float64 {

@@ -20,6 +20,7 @@ import (
 
 	"ace/internal/graph"
 	"ace/internal/obs"
+	"ace/internal/par"
 )
 
 // Oracle answers physical-delay queries between physical node indices.
@@ -168,40 +169,22 @@ func (o *Oracle) vector(src int) []float32 {
 	return vec
 }
 
-// Warm precomputes distance vectors for the given sources using up to
-// workers goroutines (<=0 means GOMAXPROCS). It is an optimization only;
-// Delay computes lazily regardless.
+// Warm precomputes distance vectors for the given sources on up to
+// workers goroutines (<=0 means GOMAXPROCS), the caller's among them.
+// It is an optimization only; Delay computes lazily regardless.
 func (o *Oracle) Warm(sources []int, workers int) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(sources) {
-		workers = len(sources)
-	}
-	if workers == 0 {
-		return
-	}
-	work := make(chan int)
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for src := range work {
-				o.mu.RLock()
-				_, ok := o.cache[src]
-				o.mu.RUnlock()
-				if !ok {
-					o.vector(src)
-				}
-			}
-		}()
-	}
-	for _, src := range sources {
-		work <- src
-	}
-	close(work)
-	wg.Wait()
+	par.Run(workers, len(sources), func(_, i int) {
+		src := sources[i]
+		o.mu.RLock()
+		_, ok := o.cache[src]
+		o.mu.RUnlock()
+		if !ok {
+			o.vector(src)
+		}
+	})
 }
 
 // Vector returns the full distance vector from src (computing and
