@@ -545,7 +545,6 @@ func run(args []string) int {
 				Round:           tracer.Default().RoundSeq(),
 				WallNanos:       rep.RebuildNanos + rep.Phase3Nanos + rep.RepairNanos,
 				SuccessRate:     succ,
-				SerialFallbacks: rep.MergeSerialFallbacks,
 				RepairFallbacks: rep.RepairFallbacks,
 				ProbeTimeouts:   rep.ProbeTimeouts,
 			}); fired {
@@ -567,9 +566,8 @@ func run(args []string) int {
 					rep.RepairHits, rep.RepairFallbacks, rep.AttachOps, rep.SwapOps)
 			}
 			if rep.Shards > 0 {
-				fmt.Printf("      shards %d: merge %.2fms (sort %.2fms, %d segments, %d serial)  imbalance build %.1f%% propose %.1f%%\n",
+				fmt.Printf("      shards %d: merge %.2fms (sort %.2fms)  imbalance build %.1f%% propose %.1f%%\n",
 					rep.Shards, float64(rep.MergeNanos)/1e6, float64(rep.MergeSortNanos)/1e6,
-					rep.MergeSegments, rep.MergeSerialFallbacks,
 					100*rep.ShardImbalance, 100*rep.ProposeImbalance)
 			}
 			if inj != nil || rep.PurgedEdges > 0 {

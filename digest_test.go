@@ -247,8 +247,7 @@ func digestChurnStep(net *overlay.Network, rng *sim.RNG, crash float64) {
 func stripEngineFields(r ace.StepReport) ace.StepReport {
 	r.RebuildNanos, r.Phase3Nanos, r.RepairNanos, r.MergeNanos = 0, 0, 0, 0
 	r.MergeSortNanos = 0
-	r.Shards, r.ShardImbalance = 0, 0
-	r.MergeSegments, r.MergeSerialFallbacks, r.ProposeImbalance = 0, 0, 0
+	r.Shards, r.ShardImbalance, r.ProposeImbalance = 0, 0, 0
 	r.RepairHits, r.RepairFallbacks, r.AttachOps, r.SwapOps = 0, 0, 0, 0
 	return r
 }

@@ -105,25 +105,19 @@ type Config struct {
 	// engine. A positive value runs the sharded engine of shard.go with
 	// exactly that many shards — peers partition into contiguous PeerID
 	// ranges, Phase 1/2 sweeps and the Phase-3 propose pass fan out
-	// across them, and overlay mutations apply through the seed-keyed
-	// cross-shard merge (parallelized over conflict-free segments).
-	// −1 caps the shard count at runtime.GOMAXPROCS and lets each
-	// shard-owned fan-out narrow itself to its actual work — no more
-	// shards than work/minPerShard (shard.go: fanWidth) — so small
-	// rounds skip the shard handoffs. Sharded rounds are bit-identical
-	// across shard counts (Shards=k matches Shards=1 for every k, which
-	// is what makes the per-phase narrowing legal), but the sharded
-	// engine's Phase-3 propose/merge split is a different — equally
-	// protocol-faithful — trajectory than the serial engine's in-place
-	// Phase 3; see DESIGN.md §5e.
+	// across them through par.Run, and overlay mutations apply serially
+	// in the seed-keyed order of the cross-shard merge. −1 caps the
+	// shard count at runtime.GOMAXPROCS and lets each shard-owned
+	// fan-out narrow itself to its actual work — no more shards than
+	// work/minPerShard (shard.go: fanWidth) — so small rounds skip the
+	// shard handoffs. Sharded rounds are bit-identical across shard
+	// counts (Shards=k matches Shards=1 for every k, which is what makes
+	// the per-phase narrowing legal), but the sharded engine's Phase-3
+	// propose/merge split is a different — equally protocol-faithful —
+	// trajectory than the serial engine's in-place Phase 3; see
+	// DESIGN.md §5e.
 	Shards int
 
-	// RebuildFraction is the dirty-region share of the live population
-	// above which RebuildTrees abandons the incremental path and
-	// rebuilds every peer (walking a dirty set close to N costs more
-	// than the flat sweep). 0 selects DefaultRebuildFraction; values
-	// >= 1 never fall back.
-	RebuildFraction float64
 	// NoIncremental forces every RebuildTrees to reconstruct all peer
 	// states from scratch — the pre-journal behavior, kept as the
 	// reference side of the differential tests and as an escape hatch.
@@ -237,9 +231,6 @@ func (c Config) validate() error {
 	}
 	if c.MaxDegree > 0 && c.MaxDegree < c.MinDegree {
 		return fmt.Errorf("core: MaxDegree %d below MinDegree %d", c.MaxDegree, c.MinDegree)
-	}
-	if c.RebuildFraction < 0 {
-		return fmt.Errorf("core: negative RebuildFraction")
 	}
 	if c.Shards < -1 {
 		return fmt.Errorf("core: Shards %d, need >= -1", c.Shards)

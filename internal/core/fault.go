@@ -201,11 +201,28 @@ func (o *Optimizer) blacklisted(h overlay.PeerID) bool {
 
 // tryConnect is net.Connect with fault injection: the dial can fail
 // (feeding the blacklist streak), and a success clears the target's
-// failure history. With no injector it is a plain Connect. The staged
-// variant used by the parallel merge is connectCtx (optimizer.go).
+// failure history. With no injector it is a plain Connect.
 func (o *Optimizer) tryConnect(a, h overlay.PeerID, report *StepReport) bool {
-	cx := applyCtx{report: report, trace: o.ring0()}
-	return o.connectCtx(&cx, a, h)
+	inj := o.net.Faults()
+	r0 := o.ring0()
+	if inj != nil && inj.ConnectFails(int(a), int(h)) {
+		report.FailedConnects++
+		blackRounds := o.noteDialFailure(h)
+		traceInstant(r0, o.tr.round, tracer.KindConnectFail, int32(a), int32(h), 0)
+		if blackRounds > 0 {
+			traceInstant(r0, o.tr.round, tracer.KindBlacklist, int32(a), int32(h), float64(blackRounds))
+		}
+		return false
+	}
+	if !o.net.Connect(a, h) {
+		return false
+	}
+	traceInstant(r0, o.tr.round, tracer.KindConnect, int32(a), int32(h), 0)
+	if inj != nil {
+		o.dialFails[h] = 0
+		o.blackExp[h] = 0
+	}
+	return true
 }
 
 // noteDialFailure advances h's failure streak and blacklists it when

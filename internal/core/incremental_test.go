@@ -97,8 +97,7 @@ func requireSameStates(t *testing.T, round int, inc, full *Optimizer, n int) {
 func stripTiming(r StepReport) StepReport {
 	r.RebuildNanos, r.Phase3Nanos, r.RepairNanos, r.MergeNanos = 0, 0, 0, 0
 	r.MergeSortNanos = 0
-	r.Shards, r.ShardImbalance = 0, 0
-	r.MergeSegments, r.MergeSerialFallbacks, r.ProposeImbalance = 0, 0, 0
+	r.Shards, r.ShardImbalance, r.ProposeImbalance = 0, 0, 0
 	// Repair diagnostics are engine bookkeeping like the shard fields:
 	// the repaired trees are bit-identical to dense rebuilds, but how
 	// many states took which path differs across engine configs.
@@ -126,7 +125,6 @@ func TestIncrementalMatchesFullRebuild(t *testing.T) {
 	const rounds = 210
 
 	incCfg := DefaultConfig(2)
-	incCfg.RebuildFraction = 1 // never fall back: exercise the dirty-region path every round
 	fullCfg := DefaultConfig(2)
 	fullCfg.NoIncremental = true
 
@@ -170,7 +168,6 @@ func TestIncrementalChurnOnlySavesWork(t *testing.T) {
 	const rounds = 200
 
 	incCfg := DefaultConfig(1)
-	incCfg.RebuildFraction = 1
 	fullCfg := DefaultConfig(1)
 	fullCfg.NoIncremental = true
 
@@ -210,7 +207,6 @@ func TestIncrementalChurnOnlySavesWorkDepth2(t *testing.T) {
 	const rounds = 120
 
 	incCfg := DefaultConfig(2)
-	incCfg.RebuildFraction = 1
 	fullCfg := DefaultConfig(2)
 	fullCfg.NoIncremental = true
 
@@ -268,38 +264,6 @@ func TestBuildStatesParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestIncrementalWithFallbackThreshold runs the same differential check
-// with a RebuildFraction low enough that rounds whose dirty region grows
-// past the threshold exercise the mixed incremental/full regime and the
-// resync bookkeeping around it. (The default fraction no longer falls
-// back on size since the repair kernel landed, so the threshold is
-// pinned explicitly here.)
-func TestIncrementalWithFallbackThreshold(t *testing.T) {
-	const seed = 77
-	const rounds = 60
-
-	incCfg := DefaultConfig(2)
-	incCfg.RebuildFraction = 0.8
-	fullCfg := DefaultConfig(2)
-	fullCfg.NoIncremental = true
-
-	inc := newDiffSide(t, seed, incCfg)
-	full := newDiffSide(t, seed, fullCfg)
-
-	for r := 0; r < rounds; r++ {
-		inc.churnStep(1)
-		full.churnStep(1)
-		ri := stripTiming(inc.opt.Round(inc.round))
-		rf := stripTiming(full.opt.Round(full.round))
-		if ri != rf {
-			t.Fatalf("round %d: reports diverged\nincremental: %+v\nfull:        %+v", r, ri, rf)
-		}
-		requireSameStates(t, r, inc.opt, full.opt, inc.net.N())
-		requireSameEdges(t, r, inc.net, full.net)
-	}
-	t.Logf("stats with fallback: %+v", inc.opt.RebuildStats())
-}
-
 // TestRebuildTreesQuiescentIsFree checks the fastest path: with no
 // journaled events between rounds, an incremental rebuild reconstructs
 // nothing and the exchange cost still prices every live peer.
@@ -339,7 +303,6 @@ func TestIncrementalMatchesFullUnderFaults(t *testing.T) {
 	}
 
 	incCfg := DefaultConfig(2)
-	incCfg.RebuildFraction = 1 // never fall back: the dirty-region path must be exact
 	fullCfg := DefaultConfig(2)
 	fullCfg.NoIncremental = true
 

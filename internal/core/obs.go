@@ -14,12 +14,10 @@ var (
 	spanPhase3  = obs.NewSpan("ace.core.round.phase3")
 	spanRepair  = obs.NewSpan("ace.core.round.repair")
 
-	// How rebuilds resolved: full sweeps, incremental (dirty-region)
-	// rebuilds, and incremental attempts that fell back to a full sweep
-	// because the dirty region exceeded RebuildFraction.
+	// How rebuilds resolved: full sweeps (first round, journal desync,
+	// NoIncremental) and incremental (dirty-region) rebuilds.
 	cRebuildFull        = obs.NewCounter("ace.core.rebuild.full")
 	cRebuildIncremental = obs.NewCounter("ace.core.rebuild.incremental")
-	cRebuildFallback    = obs.NewCounter("ace.core.rebuild.fallback")
 	cPeersRebuilt       = obs.NewCounter("ace.core.rebuild.peers")
 
 	// Dirty-region size per incremental rebuild (peers, log₂ buckets).
@@ -47,21 +45,15 @@ var (
 	cRepairs      = obs.NewCounter("ace.core.repair.connects")
 
 	// Sharded-engine instruments (ace.core.shard.*): per-shard peer and
-	// rebuild counts per fan-out, the serial cross-shard merge span, and
-	// the rebuild imbalance (max-shard excess over the even split, in
-	// percent) per round.
+	// rebuild counts per fan-out, the cross-shard merge span (run fold
+	// plus serial apply), each shard's proposal keying/sorting CPU time
+	// (inside the fan-out, so not wall-clock), and the rebuild imbalance
+	// (max-shard excess over the even split, in percent) per round.
 	hShardPeers     = obs.NewHistogram("ace.core.shard.peers")
 	hShardRebuilt   = obs.NewHistogram("ace.core.shard.rebuilt")
 	spanShardMerge  = obs.NewSpan("ace.core.shard.merge_nanos")
+	spanMergeSort   = obs.NewSpan("ace.core.shard.merge_sort_nanos")
 	hShardImbalance = obs.NewHistogram("ace.core.shard.imbalance")
-
-	// Parallel-merge instruments: per-shard proposal keying/sorting CPU
-	// time (summed across the fan-out, so it is not wall-clock), conflict
-	// segments per merged stream, and segments that fell back to the
-	// serial batch because they shared an endpoint with an earlier one.
-	spanMergeSort         = obs.NewSpan("ace.core.shard.merge_sort_nanos")
-	hMergeSegments        = obs.NewHistogram("ace.core.shard.merge_segments")
-	cMergeSerialFallbacks = obs.NewCounter("ace.core.shard.merge_serial_fallbacks")
 
 	// Fault-reaction counters (ace.fault.*): how the protocol responded
 	// to injected faults and crash debris. The injection-side tallies

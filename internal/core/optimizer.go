@@ -19,9 +19,8 @@ import (
 // cursor into the network's mutation journal, and each RebuildTrees
 // rebuilds only the peers whose h-closure a journaled event could have
 // touched (the dirty region), keeping every other PeerState cached from
-// the previous round. A full rebuild runs on the first round, when the
-// journal no longer reaches the cursor, or when the dirty region exceeds
-// RebuildFraction of the live population.
+// the previous round. A full rebuild runs on the first round and when
+// the journal no longer reaches the cursor.
 type Optimizer struct {
 	net *overlay.Network
 	cfg Config
@@ -37,9 +36,8 @@ type Optimizer struct {
 	// the experiment — cutting the extra a—h link — when b—h survives
 	// PendingTTL rounds, so tentative links cannot accumulate. The outer
 	// level is dense-indexed by proposer id (nil for peers with no open
-	// experiment): the parallel merge mutates different proposers'
-	// entries from different segments, and slice slots — unlike keys of
-	// one shared map — are independently writable.
+	// experiment), so executePendingCuts visits proposers in ascending
+	// order without sorting them.
 	pending []map[overlay.PeerID]pendingCut
 
 	// contrib caches each built peer's exchange-cost contribution (its
@@ -78,23 +76,17 @@ type Optimizer struct {
 	flipSet  peerBitset
 	flipBuf  []overlay.PeerID
 
-	// Sharded-engine state (see shard.go): per-shard arenas, the
-	// pipelined-merge run buffers (one per merge-tree node, reused
-	// across rounds), the per-peer probe-traffic slots whose serial fold
-	// keeps the float accumulation independent of the shard count, the
-	// parallel-merge segmentation scratch, and the last rebuild's
-	// imbalance.
+	// Sharded-engine state (see shard.go): per-shard arenas, the two
+	// ping-pong buffers the merge folds the shards' sorted runs through,
+	// the per-peer probe-traffic slots whose serial fold keeps the float
+	// accumulation independent of the shard count, and the last
+	// rebuild's imbalance.
 	shardPool     []*shardState
-	runBufs       [][]proposal
+	mergeBufs     [2][]proposal
 	peerTraffic   []float64
 	spanBuf       [][2]int
 	stateBuf      []*PeerState
-	seg           mergeSegments
 	lastImbalance float64
-	// forceSerialMerge pins the merge to the serial stream-order apply;
-	// determinism tests flip it to prove the conflict-partitioned path
-	// produces the identical trajectory.
-	forceSerialMerge bool
 
 	// Fault-hardening state (see fault.go); all of it stays nil/zero —
 	// and costs nothing — until a fault.Injector is attached to the
@@ -138,17 +130,6 @@ const PendingTTL = 3
 // the tentative extra degree a peer carries.
 const MaxPending = 2
 
-// DefaultRebuildFraction is the dirty-region share of the live population
-// above which the incremental path falls back to a full rebuild. The
-// reverse closure index makes the dirty set exact and nearly free to
-// compute, and with the repair kernel a dirty peer usually costs less
-// than a from-scratch build (the dense Prim is skipped): the incremental
-// path now wins even when every live peer is dirty — a full rebuild
-// additionally clears all cached states, which forfeits repair entirely.
-// So the default never falls back on size; the full path remains for
-// desyncs and explicit NoIncremental runs.
-const DefaultRebuildFraction = 1.0
-
 // StepReport summarizes one ACE round for instrumentation and tests.
 type StepReport struct {
 	Probes       int     // Phase-3 candidate probes issued
@@ -185,19 +166,24 @@ type StepReport struct {
 	RepairNanos  int64 // MinDegree repair
 
 	// Sharded-engine diagnostics; all zero when the serial engine ran
-	// the round (Config.Shards == 0). MergeNanos is the wall-clock the
-	// merge adds after the propose fan-out completes (the pipelined
-	// pre-merge overlaps proposing and is excluded); MergeSortNanos sums
+	// the round (Config.Shards == 0). MergeNanos is the wall-clock of the
+	// merge after the propose fan-out returns: folding the shards'
+	// sorted runs into one stream and applying it. MergeSortNanos sums
 	// the per-shard proposal sorts, which run concurrently inside the
 	// fan-out, so it is CPU time, not wall-clock, and takes no part in
 	// the phase-nanos ≤ elapsed contract.
-	Shards               int     // shard cap the round executed with
-	MergeNanos           int64   // cross-shard merge + apply, within Phase3Nanos
-	MergeSortNanos       int64   // per-shard proposal sorts, summed CPU time
-	MergeSegments        int     // conflict segments the merged stream split into
-	MergeSerialFallbacks int     // segments applied serially (shared an endpoint)
-	ShardImbalance       float64 // max shard's states built over the mean, −1
-	ProposeImbalance     float64 // max shard's proposal count over the mean, −1
+	Shards           int     // shard cap the round executed with
+	MergeNanos       int64   // run fold + serial apply, within Phase3Nanos
+	MergeSortNanos   int64   // per-shard proposal sorts, summed CPU time
+	ShardImbalance   float64 // max shard's states built over the mean, −1
+	ProposeImbalance float64 // max shard's proposal count over the mean, −1
+
+	// MergeSegments and MergeSerialFallbacks are always 0: the merge
+	// applies its stream serially and cuts it into no conflict segments.
+	// They remain only because the acebench report reads them, and go
+	// with the next change to that benchmark.
+	MergeSegments        int
+	MergeSerialFallbacks int
 
 	// Incremental tree-repair diagnostics (see repair.go); engine
 	// bookkeeping like the sharded-engine fields above, zeroed by
@@ -286,13 +272,10 @@ func (o *Optimizer) rebuild(peers []overlay.PeerID) {
 			o.cursor = next
 			return
 		}
-		if dirty := o.dirtyRegion(events, len(peers)); dirty != nil {
-			o.rebuildDirty(events, dirty, peers)
-			o.cursor = next
-			o.net.CompactJournal(o.cursor)
-			return
-		}
-		cRebuildFallback.Inc() // dirty region above RebuildFraction
+		o.rebuildDirty(events, o.dirtyRegion(events), peers)
+		o.cursor = next
+		o.net.CompactJournal(o.cursor)
+		return
 	}
 	clear(o.state)
 	clear(o.contrib)
@@ -341,9 +324,7 @@ func (o *Optimizer) repairCtxFor() *repairCtx {
 // overlay edges, so there every posting counts, not just interior ones.
 // This is exact — no h-hop overapproximation over current adjacency —
 // which is what lets the incremental path keep firing once Phase-3
-// rewiring spreads endpoints across the overlay. It returns nil when
-// the region exceeds the RebuildFraction threshold and a full rebuild
-// is the better deal.
+// rewiring spreads endpoints across the overlay.
 //
 // Staleness exclusions (o.exclFlips) dirty closures the journal knows
 // nothing about: an excluded peer vanishes from — or a readmitted one
@@ -353,20 +334,9 @@ func (o *Optimizer) repairCtxFor() *repairCtx {
 // The returned set is the reusable o.dirtySet bitset, valid until the
 // next dirtyRegion call. Under the sharded engine the posting scan fans
 // out across shards (shard.go); the union of per-shard bitsets is
-// order-free, so the resolved set — and therefore the fallback decision
-// — is identical for every shard count and goroutine schedule.
-func (o *Optimizer) dirtyRegion(events []overlay.Event, nAlive int) *peerBitset {
-	frac := o.cfg.RebuildFraction
-	if frac == 0 {
-		frac = DefaultRebuildFraction
-	}
-	// The dirty region may include dead peers (their state still has to
-	// be dropped), so "never fall back" means a bound of every slot.
-	limit := o.net.N()
-	if frac < 1 {
-		limit = int(frac * float64(nAlive))
-	}
-
+// order-free, so the resolved set is identical for every shard count and
+// goroutine schedule.
+func (o *Optimizer) dirtyRegion(events []overlay.Event) *peerBitset {
 	sparse := o.cfg.SparseKnowledge
 	dirty := &o.dirtySet
 	dirty.reset(o.net.N())
@@ -418,9 +388,6 @@ func (o *Optimizer) dirtyRegion(events []overlay.Event, nAlive int) *peerBitset 
 				o.markNeighborhood(dirty, f)
 			}
 		}
-	}
-	if dirty.count() > limit {
-		return nil
 	}
 	return dirty
 }
@@ -709,91 +676,25 @@ func (o *Optimizer) maintainMinDegree(rng *sim.RNG, alive []overlay.PeerID, repo
 	}
 }
 
-// applyCtx routes Phase-3 edge mutations. With tx == nil every call
-// mutates the network directly (the serial engine and the serial merge
-// path). With a StagedTx attached, adjacency still mutates in place but
-// the journal/version/edge bookkeeping is buffered for the parallel
-// merge's deterministic segment-order commit, and the report points at a
-// segment- or worker-local accumulator instead of the round's. All
-// counters that flow through it are integers, so any fold order yields
-// the same round totals.
-type applyCtx struct {
-	tx     *overlay.StagedTx
-	report *StepReport
-	// trace is the worker's trace ring (nil while tracing is off):
-	// connect/blacklist fault reactions record through it so parallel
-	// apply workers never share a ring.
-	trace *tracer.Ring
-}
-
-// connectCtx is net.Connect with fault injection (see tryConnect) routed
-// through cx: the dial can fail, feeding the blacklist streak, and a
-// success clears the target's failure history.
-func (o *Optimizer) connectCtx(cx *applyCtx, a, h overlay.PeerID) bool {
-	inj := o.net.Faults()
-	if inj != nil && inj.ConnectFails(int(a), int(h)) {
-		cx.report.FailedConnects++
-		blackRounds := o.noteDialFailure(h)
-		traceInstant(cx.trace, o.tr.round, tracer.KindConnectFail, int32(a), int32(h), 0)
-		if blackRounds > 0 {
-			traceInstant(cx.trace, o.tr.round, tracer.KindBlacklist, int32(a), int32(h), float64(blackRounds))
-		}
-		return false
-	}
-	var ok bool
-	if cx.tx != nil {
-		ok = o.net.ConnectStaged(cx.tx, a, h)
-	} else {
-		ok = o.net.Connect(a, h)
-	}
-	if !ok {
-		return false
-	}
-	traceInstant(cx.trace, o.tr.round, tracer.KindConnect, int32(a), int32(h), 0)
-	if inj != nil {
-		o.dialFails[h] = 0
-		o.blackExp[h] = 0
-	}
-	return true
-}
-
-// disconnectCtx removes the a—b link through cx's mutation route.
-func (o *Optimizer) disconnectCtx(cx *applyCtx, a, b overlay.PeerID) bool {
-	if cx.tx != nil {
-		return o.net.DisconnectStaged(cx.tx, a, b)
-	}
-	return o.net.Disconnect(a, b)
-}
-
 // safeCut disconnects a—b unless that would strand b (or a) with no
 // neighbors at all: a client that loses its last connection re-joins
 // through its host cache, and peers avoid forcing that. It reports
 // whether the cut happened.
 func (o *Optimizer) safeCut(a, b overlay.PeerID) bool {
-	return o.safeCutCtx(&applyCtx{}, a, b)
-}
-
-// safeCutCtx is safeCut through cx's mutation route.
-func (o *Optimizer) safeCutCtx(cx *applyCtx, a, b overlay.PeerID) bool {
 	if !o.net.HasEdge(a, b) {
 		return false
 	}
 	if o.net.Degree(a) <= 1 || o.net.Degree(b) <= 1 {
 		return false
 	}
-	return o.disconnectCtx(cx, a, b)
+	return o.net.Disconnect(a, b)
 }
 
 // abandonTentative removes the tentative a—h link of an expired or
 // voided Figure-4(c) experiment.
 func (o *Optimizer) abandonTentative(a, h overlay.PeerID, report *StepReport) {
-	o.abandonTentativeCtx(&applyCtx{report: report}, a, h)
-}
-
-// abandonTentativeCtx is abandonTentative through cx's mutation route.
-func (o *Optimizer) abandonTentativeCtx(cx *applyCtx, a, h overlay.PeerID) {
-	if o.net.Alive(a) && o.net.Alive(h) && o.safeCutCtx(cx, a, h) {
-		cx.report.Abandoned++
+	if o.net.Alive(a) && o.net.Alive(h) && o.safeCut(a, h) {
+		report.Abandoned++
 	}
 }
 
@@ -877,34 +778,36 @@ func (o *Optimizer) probe(av overlay.CostView, a, h overlay.PeerID, report *Step
 }
 
 // applyFigure4 applies the paper's Figure-4 rules to candidate h drawn
-// from non-flooding neighbor b of peer a; av is a's cost view. It
-// reports whether any connection changed.
-func (o *Optimizer) applyFigure4(av overlay.CostView, a, b, h overlay.PeerID, report *StepReport) bool {
+// from non-flooding neighbor b of peer a; av is a's cost view. It probes
+// a—h, then decides through applyFigure4Decided. The b—h delay is read
+// only when a—h does not already beat a—b: Figure 4(b) never compares
+// it, and reading it would fetch b's cost vector for nothing.
+func (o *Optimizer) applyFigure4(av overlay.CostView, a, b, h overlay.PeerID, report *StepReport) {
 	ah, ok := o.probe(av, a, h, report)
 	if !ok {
-		return false // probe timed out: no reading to decide on
+		return // probe timed out: no reading to decide on
 	}
-	ab := av.To(b)
+	ab, bh := av.To(b), 0.0
+	if ah >= ab {
+		bh = o.net.CostsFrom(b).To(h)
+	}
+	o.applyFigure4Decided(a, b, h, ah, ab, bh, report)
+}
+
+// applyFigure4Decided applies the Figure-4 branch selection to a
+// triangle whose costs are already known. ab and bh are static physical
+// delays; the merge carries them inside the proposal (measured at
+// propose time, identical values), so applying a proposal touches no
+// cost view at all. bh is compared only when ah ≥ ab.
+func (o *Optimizer) applyFigure4Decided(a, b, h overlay.PeerID, ah, ab, bh float64, report *StepReport) {
 	switch {
 	case ah < ab:
-		// Figure 4(b): closer candidate found — replace b by h, unless
-		// cutting would strand b. No ceiling check here: candidates()
-		// already dropped saturated peers, and a's own degree does not
-		// grow (the replacement moves one connection slot from b to h).
-		if o.net.Degree(b) <= 1 {
-			return false
-		}
-		if !o.tryConnect(a, h, report) {
-			return false
-		}
-		if !o.safeCut(a, b) {
-			o.net.Disconnect(a, h) // undo: replacement impossible
-			return false
-		}
-		o.resolvePending(a, b, report)
-		report.Replacements++
-		return true
-	case ah < o.net.CostsFrom(b).To(h):
+		// Figure 4(b): closer candidate found — replace b by h. No
+		// ceiling check here: candidates were picked below the ceiling,
+		// and a's own degree does not grow (the replacement moves one
+		// connection slot from b to h).
+		o.replace(a, b, h, report)
+	case ah < bh:
 		// Figure 4(c): keep h as a new neighbor; b is expected to demote
 		// and then drop its link to h, after which a cuts a—b. Bounded
 		// per peer so tentative links cannot pile up, and refused when
@@ -912,40 +815,44 @@ func (o *Optimizer) applyFigure4(av overlay.CostView, a, b, h overlay.PeerID, re
 		// degree is exactly what drifts the mean degree upward when its
 		// compensating cut is consumed by other peers' rewiring.
 		if o.atCap(a) || o.atCap(h) {
-			return false
+			return
 		}
 		if _, renewing := o.pending[a][b]; !renewing && len(o.pending[a]) >= MaxPending {
-			return false
+			return
 		}
-		if !o.tryConnect(a, h, report) {
-			return false
+		if o.tryConnect(a, h, report) {
+			o.resolvePending(a, b, report)
+			if o.pending[a] == nil {
+				o.pending[a] = make(map[overlay.PeerID]pendingCut)
+			}
+			o.pending[a][b] = pendingCut{h: h, ttl: PendingTTL}
+			report.KeptNew++
 		}
-		o.resolvePending(a, b, report)
-		if o.pending[a] == nil {
-			o.pending[a] = make(map[overlay.PeerID]pendingCut)
-		}
-		o.pending[a][b] = pendingCut{h: h, ttl: PendingTTL}
-		report.KeptNew++
-		return true
 	default:
 		// Figure 4(d): candidate is worst of the triangle — keep probing.
-		return false
 	}
+}
+
+// replace moves a's connection from b to h — the Figure-4(b) rewire and
+// the naive policy's replacement — unless cutting a—b would strand b, in
+// which case nothing changes.
+func (o *Optimizer) replace(a, b, h overlay.PeerID, report *StepReport) {
+	if o.net.Degree(b) <= 1 || !o.tryConnect(a, h, report) {
+		return
+	}
+	if !o.safeCut(a, b) {
+		o.net.Disconnect(a, h) // undo: replacement impossible
+		return
+	}
+	o.resolvePending(a, b, report)
+	report.Replacements++
 }
 
 // resolvePending clears any outstanding experiment a had for b, dropping
 // its tentative link: a new decision about b supersedes it.
 func (o *Optimizer) resolvePending(a, b overlay.PeerID, report *StepReport) {
-	o.resolvePendingCtx(&applyCtx{report: report}, a, b)
-}
-
-// resolvePendingCtx is resolvePending through cx's mutation route. It
-// touches only pending[a] — under the parallel merge, every proposal
-// sharing proposer a sits in the same conflict component, so the slot is
-// effectively segment-private.
-func (o *Optimizer) resolvePendingCtx(cx *applyCtx, a, b overlay.PeerID) {
 	if old, ok := o.pending[a][b]; ok {
-		o.abandonTentativeCtx(cx, a, old.h)
+		o.abandonTentative(a, old.h, report)
 		delete(o.pending[a], b)
 	}
 }
@@ -1060,13 +967,8 @@ func (o *Optimizer) phase3Naive(rng *sim.RNG, a overlay.PeerID, st *PeerState, r
 			best, bestCost = h, c
 		}
 	}
-	if best >= 0 && o.net.Degree(worst) > 1 && o.tryConnect(a, best, report) {
-		if !o.safeCut(a, worst) {
-			o.net.Disconnect(a, best)
-			return
-		}
-		o.resolvePending(a, worst, report)
-		report.Replacements++
+	if best >= 0 {
+		o.replace(a, worst, best, report)
 	}
 }
 
@@ -1087,50 +989,9 @@ func (o *Optimizer) phase3Closest(a overlay.PeerID, st *PeerState, report *StepR
 		}
 	}
 	if bestH >= 0 {
-		o.applyFigure4WithCost(av, a, bestB, bestH, bestCost, report)
-	}
-}
-
-// applyFigure4WithCost is applyFigure4 for a candidate already probed;
-// av is a's cost view. The triangle's other two costs are static
-// physical delays, so fetching them here is exactly what the propose
-// pass would have read.
-func (o *Optimizer) applyFigure4WithCost(av overlay.CostView, a, b, h overlay.PeerID, ah float64, report *StepReport) {
-	cx := applyCtx{report: report, trace: o.ring0()}
-	o.applyFigure4Decided(&cx, a, b, h, ah, av.To(b), o.net.CostsFrom(b).To(h))
-}
-
-// applyFigure4Decided applies the Figure-4 branch selection to a
-// triangle whose three costs are already known, through cx's mutation
-// route. ab and bh are static physical delays; the merge path carries
-// them inside the proposal (measured at propose time, identical values)
-// so applying a proposal touches no cost view at all.
-func (o *Optimizer) applyFigure4Decided(cx *applyCtx, a, b, h overlay.PeerID, ah, ab, bh float64) {
-	switch {
-	case ah < ab:
-		if o.net.Degree(b) > 1 && o.connectCtx(cx, a, h) {
-			if !o.safeCutCtx(cx, a, b) {
-				o.disconnectCtx(cx, a, h)
-				return
-			}
-			o.resolvePendingCtx(cx, a, b)
-			cx.report.Replacements++
-		}
-	case ah < bh:
-		if o.atCap(a) || o.atCap(h) {
-			return
-		}
-		if _, renewing := o.pending[a][b]; !renewing && len(o.pending[a]) >= MaxPending {
-			return
-		}
-		if o.connectCtx(cx, a, h) {
-			o.resolvePendingCtx(cx, a, b)
-			if o.pending[a] == nil {
-				o.pending[a] = make(map[overlay.PeerID]pendingCut)
-			}
-			o.pending[a][b] = pendingCut{h: h, ttl: PendingTTL}
-			cx.report.KeptNew++
-		}
+		// The closest candidate is already probed; the triangle's other
+		// two costs are the static delays the propose pass reads too.
+		o.applyFigure4Decided(a, bestB, bestH, bestCost, av.To(bestB), o.net.CostsFrom(bestB).To(bestH), report)
 	}
 }
 

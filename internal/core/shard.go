@@ -4,7 +4,6 @@ import (
 	"math/bits"
 	"runtime"
 	"slices"
-	"sync"
 
 	"ace/internal/fault"
 	"ace/internal/obs"
@@ -42,27 +41,16 @@ import (
 // peer's step immediately, so the two engines produce different (both
 // valid) trajectories; DESIGN.md §5e discusses the divergence.
 
-// splitmix64 discipline shared with internal/fault: decisions hash
-// (seed, ids) so outcomes depend only on inputs, never on goroutine
-// schedule or shard boundaries.
-const golden = 0x9e3779b97f4a7c15
-
-// sm is the splitmix64 finalizer.
-func sm(z uint64) uint64 {
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-// splitRNG is a zero-allocation splitmix64 stream. Each proposing peer
-// gets its own stream seeded from (round seed, peer id), so its draws
-// are independent of every other peer's and of the shard layout.
+// splitRNG is a zero-allocation splitmix64 stream (sim.SplitMix64, the
+// hash discipline internal/fault shares). Each proposing peer gets its
+// own stream seeded from (round seed, peer id), so its draws are
+// independent of every other peer's and of the shard layout.
 type splitRNG struct{ s uint64 }
 
 // next returns the next 64 uniform bits.
 func (r *splitRNG) next() uint64 {
-	r.s += golden
-	return sm(r.s)
+	r.s += sim.Golden
+	return sim.SplitMix64(r.s)
 }
 
 // intn returns a draw from [0, n). The modulo bias is below 2⁻⁵⁰ for the
@@ -403,13 +391,9 @@ func (o *Optimizer) roundSharded(rng *sim.RNG, s int) StepReport {
 	// One serial draw seeds the whole sharded Phase 3; everything after
 	// derives per-peer streams and merge keys from it by pure hashing.
 	base := rng.Uint64()
-	final := o.proposePhase3(peers, base, s, &report)
-	// MergeNanos is the wall-clock the merge adds after the propose
-	// fan-out: the pipelined pair merges already ran while stragglers
-	// proposed, so this span sees only the residual merge plus the
-	// conflict-partitioned apply.
+	shards := o.proposePhase3(peers, base, s, &report)
 	msp := spanShardMerge.Start()
-	o.mergeProposals(final, s, &report)
+	o.mergeProposals(shards, &report)
 	report.MergeNanos = msp.End()
 	report.Phase3Nanos = sp.End()
 	o.tracePhase(tracer.PhasePhase3, tts)
@@ -430,13 +414,10 @@ func (o *Optimizer) roundSharded(rng *sim.RNG, s int) StepReport {
 // proposePhase3 runs the parallel propose pass: each live peer selects
 // and probes its Phase-3 candidate against the frozen network under its
 // own splitmix64 stream, producing proposals and per-peer probe tallies.
-// Each shard keys and sorts its own run inside the fan-out, and the
-// returned channel delivers the fully merged key-ordered stream from the
-// pipelined merge tree (mergeTree): pair merges of finished shards run
-// while stragglers still propose. The network is not mutated until
-// mergeProposals — proposals only read the frozen network, which is the
-// invariant that bounds how early merging may start.
-func (o *Optimizer) proposePhase3(peers []overlay.PeerID, base uint64, s int, report *StepReport) <-chan []proposal {
+// Each shard keys and sorts its own run inside the fan-out. It returns
+// the shards that ran, whose sorted runs mergeProposals folds; the
+// network is not mutated until then.
+func (o *Optimizer) proposePhase3(peers []overlay.PeerID, base uint64, s int, report *StepReport) []*shardState {
 	s = o.fanWidth(s, len(peers))
 	if cap(o.peerTraffic) < len(peers) {
 		o.peerTraffic = make([]float64, len(peers))
@@ -444,81 +425,57 @@ func (o *Optimizer) proposePhase3(peers []overlay.PeerID, base uint64, s int, re
 	traffic := o.peerTraffic[:len(peers)]
 	shards := o.ensureShards(s)
 	spans := o.ownerSpans(peers, s)
-	for len(o.runBufs) < s {
-		// Pre-size the merge-tree buffer pool: node goroutines store
-		// their output slices into disjoint slots, so the backing array
-		// must not move underneath them.
-		o.runBufs = append(o.runBufs, nil)
-	}
-	ready := make([]chan []proposal, s)
-	for k := range ready {
-		ready[k] = make(chan []proposal, 1)
-	}
-	var wg sync.WaitGroup
-	rr := o.roundRing()
-	for k := 0; k < s; k++ {
-		sh := shards[k]
+	for k, sh := range shards {
 		sh.props = sh.props[:0]
 		sh.probes, sh.probeTimeouts, sh.blacklistHits, sh.sortNanos = 0, 0, 0, 0
 		sh.trace, sh.traceRound = o.ringFor(k), o.tr.round
-		lo, hi := spans[k][0], spans[k][1]
 		if obs.Enabled() {
-			hShardPeers.Observe(uint64(hi - lo))
+			hShardPeers.Observe(uint64(spans[k][1] - spans[k][0]))
 		}
-		if lo == hi {
-			ready[k] <- nil
-			continue
-		}
-		run := func(sh *shardState, k, lo, hi int) {
-			ts := ringNow(sh.trace)
-			for i := lo; i < hi; i++ {
-				a := peers[i]
-				traffic[i] = 0
-				st := o.state[a]
-				if !o.net.Alive(a) || st == nil || len(st.NonFlooding) == 0 {
-					continue
-				}
-				r := splitRNG{s: sm(base ^ (uint64(a)+1)*golden)}
-				var t peerTally
-				switch o.cfg.Policy {
-				case PolicyRandom:
-					o.proposeRandom(a, st, &r, sh, &t)
-				case PolicyNaive:
-					o.proposeNaive(a, st, &r, sh, &t)
-				case PolicyClosest:
-					o.proposeClosest(a, st, sh, &t)
-				}
-				traffic[i] = t.traffic
-				sh.probes += t.probes
-				sh.probeTimeouts += t.timeouts
-				sh.blacklistHits += t.hits
-			}
-			// Key and sort the shard's own run while other shards still
-			// propose: keys are pure hashes of (seed, a, b), and shards
-			// own ascending id ranges, so concatenating sorted runs under
-			// the (key, a, b) order reproduces the one global sort.
-			mark := spanMergeSort.Start()
-			for i := range sh.props {
-				pr := &sh.props[i]
-				pr.key = mergeKey(base, overlay.PeerID(pr.a), overlay.PeerID(pr.b))
-			}
-			sortProposals(sh.props)
-			sh.sortNanos = mark.End()
-			traceShardSpan(rr, sh.trace, sh.traceRound, tracer.KindShardPropose, ts, ringNow(sh.trace), int32(len(sh.props)), int32(hi-lo))
-			ready[k] <- sh.props
-		}
-		if s == 1 {
-			run(sh, k, lo, hi)
-			continue
-		}
-		wg.Add(1)
-		go func(sh *shardState, k, lo, hi int) {
-			defer wg.Done()
-			run(sh, k, lo, hi)
-		}(sh, k, lo, hi)
 	}
-	final := o.mergeTree(ready, 0, s, 0)
-	wg.Wait()
+	rr := o.roundRing()
+	par.Run(s, s, func(_, k int) {
+		sh := shards[k]
+		lo, hi := spans[k][0], spans[k][1]
+		if lo == hi {
+			return
+		}
+		ts := ringNow(sh.trace)
+		for i := lo; i < hi; i++ {
+			a := peers[i]
+			traffic[i] = 0
+			st := o.state[a]
+			if !o.net.Alive(a) || st == nil || len(st.NonFlooding) == 0 {
+				continue
+			}
+			r := splitRNG{s: sim.SplitMix64(base ^ (uint64(a)+1)*sim.Golden)}
+			var t peerTally
+			switch o.cfg.Policy {
+			case PolicyRandom:
+				o.proposeRandom(a, st, &r, sh, &t)
+			case PolicyNaive:
+				o.proposeNaive(a, st, &r, sh, &t)
+			case PolicyClosest:
+				o.proposeClosest(a, st, sh, &t)
+			}
+			traffic[i] = t.traffic
+			sh.probes += t.probes
+			sh.probeTimeouts += t.timeouts
+			sh.blacklistHits += t.hits
+		}
+		// Key and sort the shard's own run while other shards still
+		// propose: keys are pure hashes of (seed, a, b), so merging the
+		// sorted runs under the (key, a, b) order reproduces one global
+		// sort of every proposal.
+		mark := spanMergeSort.Start()
+		for i := range sh.props {
+			pr := &sh.props[i]
+			pr.key = mergeKey(base, overlay.PeerID(pr.a), overlay.PeerID(pr.b))
+		}
+		sortProposals(sh.props)
+		sh.sortNanos = mark.End()
+		traceShardSpan(rr, sh.trace, sh.traceRound, tracer.KindShardPropose, ts, ringNow(sh.trace), int32(len(sh.props)), int32(hi-lo))
+	})
 	// Serial folds in ascending peer / shard order: float traffic first
 	// (grouped per peer, so the addition tree ignores shard boundaries),
 	// then the integer tallies and the propose-side imbalance.
@@ -526,47 +483,18 @@ func (o *Optimizer) proposePhase3(peers []overlay.PeerID, base uint64, s int, re
 		report.ProbeTraffic += traffic[i]
 	}
 	maxProps, totalProps := 0, 0
-	for k := 0; k < s; k++ {
-		sh := shards[k]
+	for _, sh := range shards {
 		report.Probes += sh.probes
 		report.ProbeTimeouts += sh.probeTimeouts
 		report.BlacklistHits += sh.blacklistHits
 		report.MergeSortNanos += sh.sortNanos
 		totalProps += len(sh.props)
-		if len(sh.props) > maxProps {
-			maxProps = len(sh.props)
-		}
+		maxProps = max(maxProps, len(sh.props))
 	}
 	if s > 1 && totalProps > 0 {
 		report.ProposeImbalance = float64(maxProps)/(float64(totalProps)/float64(s)) - 1
 	}
-	return final
-}
-
-// mergeTree returns a channel that will deliver the merged sorted run of
-// shards [lo, hi). Leaves pass the shard's own channel through; internal
-// nodes merge their children's runs into a pooled buffer (node ids index
-// o.runBufs, assigned deterministically by subtree layout) the moment
-// both arrive — so finished subtrees merge while sibling shards still
-// propose. The output is the unique (key, a, b)-sorted order of the
-// union, so neither the tree shape nor goroutine scheduling can
-// influence it; only completion latency varies.
-func (o *Optimizer) mergeTree(ready []chan []proposal, lo, hi, node int) <-chan []proposal {
-	if hi-lo == 1 {
-		return ready[lo]
-	}
-	mid := (lo + hi) / 2
-	left := o.mergeTree(ready, lo, mid, node+1)
-	right := o.mergeTree(ready, mid, hi, node+(mid-lo))
-	out := make(chan []proposal, 1)
-	go func(buf []proposal) {
-		x := <-left
-		y := <-right
-		buf = mergeRuns(buf[:0], x, y)
-		o.runBufs[node] = buf // disjoint slot; republished to the pool
-		out <- buf
-	}(o.runBufs[node])
-	return out
+	return shards
 }
 
 // sortProposals orders a run by (key, a, b) — the full tiebreak keeps
@@ -603,9 +531,7 @@ func lessProp(x, y *proposal) bool {
 // (a, b) pair proposes at most once per round — so the merge is a strict
 // total order and trivially stable.
 func mergeRuns(dst, x, y []proposal) []proposal {
-	if cap(dst) < len(x)+len(y) {
-		dst = make([]proposal, 0, len(x)+len(y))
-	}
+	dst = slices.Grow(dst, len(x)+len(y))
 	i, j := 0, 0
 	for i < len(x) && j < len(y) {
 		if lessProp(&y[j], &x[i]) {
@@ -619,6 +545,22 @@ func mergeRuns(dst, x, y []proposal) []proposal {
 	dst = append(dst, x[i:]...)
 	dst = append(dst, y[j:]...)
 	return dst
+}
+
+// foldRuns merges the shards' sorted runs into one (key, a, b)-ordered
+// stream, folding them in one at a time through two ping-pong buffers:
+// each merge reads the buffer the previous one wrote and writes the
+// other. The sorted order of a fixed set under a total order is unique,
+// so the stream equals one global sort of every proposal. A single
+// shard's run is returned as is. The result is valid until the next
+// fold.
+func foldRuns(bufs *[2][]proposal, shards []*shardState) []proposal {
+	stream := shards[0].props
+	for k, sh := range shards[1:] {
+		bufs[k&1] = mergeRuns(bufs[k&1][:0], stream, sh.props)
+		stream = bufs[k&1]
+	}
+	return stream
 }
 
 // probePropose prices one propose-pass delay measurement from a to
@@ -768,244 +710,19 @@ func (o *Optimizer) proposeClosest(a overlay.PeerID, st *PeerState, sh *shardSta
 // yet uncorrelated with peer ids, giving no peer a standing priority
 // across rounds.
 func mergeKey(base uint64, a, b overlay.PeerID) uint64 {
-	return sm(base ^ (uint64(a)+1)*golden ^ (uint64(b)+1)*0x94d049bb133111eb)
+	return sim.SplitMix64(base ^ (uint64(a)+1)*sim.Golden ^ (uint64(b)+1)*0x94d049bb133111eb)
 }
 
-// mergeProposals completes the cross-shard merge: it receives the fully
-// merged key-ordered stream from the pipelined merge tree and applies it
-// through the conflict-partitioned path. All overlay mutation of Phase 3
-// happens downstream of here.
-func (o *Optimizer) mergeProposals(final <-chan []proposal, s int, report *StepReport) {
-	props := <-final
-	// Auto-sized rounds narrow the apply fan-out to the stream they
-	// actually merged: a few hundred proposals are not worth segmenting.
-	o.applyMerged(props, o.fanWidth(s, len(props)), report)
-}
-
-// mergeSegments is the reusable conflict-partition scratch of the
-// parallel merge (applyMerged). The per-peer membership and claim marks
-// are epoch-stamped uint32 arrays, so starting a new segment or a new
-// round is an epoch bump, not an O(N) clear.
-type mergeSegments struct {
-	segStamp   []uint32 // segStamp[p] == segEpoch ⇒ p touched by current segment
-	claimStamp []uint32 // claimStamp[p] == claimEpoch ⇒ p claimed this round
-	segEpoch   uint32
-	claimEpoch uint32
-	off        []int32          // segment g spans props[off[g]:off[g+1]]
-	ends       []overlay.PeerID // flat deduplicated endpoint lists
-	endOff     []int32          // segment g's endpoints: ends[endOff[g]:endOff[g+1]]
-	parIdx     []int32          // conflict-free segments, stream order
-	serIdx     []int32          // serial-fallback segments, stream order
-	txs        []overlay.StagedTx
-	reports    []StepReport // one per apply worker
-	cxs        []applyCtx   // worker w applies through cxs[w] into reports[w]
-}
-
-// ensure sizes the per-peer stamp arrays for n peers.
-func (ms *mergeSegments) ensure(n int) {
-	if len(ms.segStamp) < n {
-		ms.segStamp = make([]uint32, n)
-		ms.claimStamp = make([]uint32, n)
-		ms.segEpoch, ms.claimEpoch = 0, 0
-	}
-}
-
-// bumpEpoch advances an epoch counter, clearing the stamp array on the
-// (once per 4G uses) wraparound so stale marks can never alias.
-func bumpEpoch(stamp []uint32, e *uint32) {
-	*e++
-	if *e == 0 {
-		clear(stamp)
-		*e = 1
-	}
-}
-
-// A proposal's conflict endpoints are the peers whose adjacency, degree,
-// blacklist slots, or pending entries the apply path may read or write:
-// proposer, targeted neighbor, candidate, and (when the proposer holds
-// an open 4(c) experiment for the target) the tentative candidate that
-// resolvePending may cut. The pending entry itself needs no conflict
-// tracking: pending[a][b] is read and written only by the unique
-// proposal (a, b), so the snapshot taken at segmentation time is still
-// exact at apply time. conflictsCurrent and stampEndpoints enumerate the
-// set inline (one segmentation runs per proposal; a closure-based walker
-// allocates).
-
-// conflictsCurrent reports whether pr touches any endpoint already in
-// the current (open) segment.
-func (o *Optimizer) conflictsCurrent(ms *mergeSegments, pr *proposal) bool {
-	a, b := overlay.PeerID(pr.a), overlay.PeerID(pr.b)
-	if ms.segStamp[a] == ms.segEpoch || ms.segStamp[b] == ms.segEpoch ||
-		ms.segStamp[pr.h] == ms.segEpoch {
-		return true
-	}
-	if old, ok := o.pending[a][b]; ok && ms.segStamp[old.h] == ms.segEpoch {
-		return true
-	}
-	return false
-}
-
-// stamp adds p to the current segment's membership and, when newly seen,
-// its deduplicated endpoint list.
-func (ms *mergeSegments) stamp(p overlay.PeerID) {
-	if ms.segStamp[p] != ms.segEpoch {
-		ms.segStamp[p] = ms.segEpoch
-		ms.ends = append(ms.ends, p)
-	}
-}
-
-// stampEndpoints adds pr's conflict endpoints to the current segment.
-func (o *Optimizer) stampEndpoints(ms *mergeSegments, pr *proposal) {
-	a, b := overlay.PeerID(pr.a), overlay.PeerID(pr.b)
-	ms.stamp(a)
-	ms.stamp(b)
-	ms.stamp(overlay.PeerID(pr.h))
-	if old, ok := o.pending[a][b]; ok {
-		ms.stamp(old.h)
-	}
-}
-
-// applyMerged applies the key-ordered proposal stream. The serial path
-// (single shard, or the forceSerialMerge test hook) applies in stream
-// order directly. The parallel path first cuts the stream into segments
-// — greedily, wherever a proposal's endpoint set is disjoint from
-// everything in the open segment — then partitions segments by a claims
-// pass: a segment whose endpoints were all unclaimed runs in the
-// parallel batch and claims them; a segment that meets any claimed
-// endpoint falls back to the serial batch (and still claims, so later
-// overlaps see it too). Every conflicting pair of proposals therefore
-// keeps its stream order — the later member is always in the serial
-// batch, which runs after the parallel batch, in stream order — and
-// disjoint proposals commute exactly, so the trajectory is bit-identical
-// to the serial merge's. Workers accumulate into private StepReports
-// whose merge-path counters are all integers (fold order cannot show),
-// and overlay bookkeeping lands via per-segment staged transactions
-// committed in segment order, keeping the journal canonical.
-func (o *Optimizer) applyMerged(props []proposal, s int, report *StepReport) {
-	if len(props) == 0 {
-		return
-	}
+// mergeProposals is the merge: it folds the shards' sorted runs into the
+// key-ordered stream and applies it serially, one proposal at a time.
+// All overlay mutation of Phase 3 happens here.
+func (o *Optimizer) mergeProposals(shards []*shardState, report *StepReport) {
 	mts := o.traceNow()
-	if s <= 1 || o.forceSerialMerge {
-		cx := applyCtx{report: report, trace: o.ring0()}
-		for i := range props {
-			o.applyOne(&cx, &props[i])
-		}
-		traceSpan(o.roundRing(), o.tr.round, tracer.KindMerge, mts, 1, 0)
-		return
-	}
-	ms := &o.seg
-	ms.ensure(o.net.N())
-	ms.off = append(ms.off[:0], 0)
-	ms.ends = ms.ends[:0]
-	ms.endOff = append(ms.endOff[:0], 0)
-	bumpEpoch(ms.segStamp, &ms.segEpoch)
-	segStart := 0
+	props := foldRuns(&o.mergeBufs, shards)
 	for i := range props {
-		pr := &props[i]
-		if i > segStart && !o.conflictsCurrent(ms, pr) {
-			// Disjoint from everything in the open segment: cut here.
-			ms.off = append(ms.off, int32(i))
-			ms.endOff = append(ms.endOff, int32(len(ms.ends)))
-			bumpEpoch(ms.segStamp, &ms.segEpoch)
-			segStart = i
-		}
-		o.stampEndpoints(ms, pr)
+		o.applyOne(&props[i], report)
 	}
-	ms.off = append(ms.off, int32(len(props)))
-	ms.endOff = append(ms.endOff, int32(len(ms.ends)))
-	nseg := len(ms.off) - 1
-
-	bumpEpoch(ms.claimStamp, &ms.claimEpoch)
-	ms.parIdx, ms.serIdx = ms.parIdx[:0], ms.serIdx[:0]
-	for g := 0; g < nseg; g++ {
-		conflict := false
-		for _, e := range ms.ends[ms.endOff[g]:ms.endOff[g+1]] {
-			if ms.claimStamp[e] == ms.claimEpoch {
-				conflict = true
-			}
-			ms.claimStamp[e] = ms.claimEpoch
-		}
-		if conflict {
-			ms.serIdx = append(ms.serIdx, int32(g))
-		} else {
-			ms.parIdx = append(ms.parIdx, int32(g))
-		}
-	}
-	report.MergeSegments += nseg
-	report.MergeSerialFallbacks += len(ms.serIdx)
-	if obs.Enabled() {
-		hMergeSegments.Observe(uint64(nseg))
-		cMergeSerialFallbacks.Add(uint64(len(ms.serIdx)))
-	}
-
-	for len(ms.txs) < nseg {
-		ms.txs = append(ms.txs, overlay.StagedTx{})
-	}
-	txs := ms.txs[:nseg]
-	for i := range txs {
-		txs[i].Reset()
-	}
-
-	// Parallel batch: workers pull conflict-free segments off par.Run's
-	// cursor — claiming order is irrelevant because the segments are
-	// pairwise disjoint and each target a private StagedTx.
-	workers := min(s, len(ms.parIdx))
-	for len(ms.reports) < workers {
-		ms.reports = append(ms.reports, StepReport{})
-		ms.cxs = append(ms.cxs, applyCtx{})
-	}
-	for w := 0; w < workers; w++ {
-		ms.reports[w] = StepReport{}
-		ms.cxs[w] = applyCtx{report: &ms.reports[w], trace: o.ringFor(w)}
-	}
-	par.Run(workers, len(ms.parIdx), func(w, i int) {
-		g := ms.parIdx[i]
-		cx := &ms.cxs[w]
-		cx.tx = &txs[g]
-		o.applySegment(props[ms.off[g]:ms.off[g+1]], cx)
-	})
-	for w := 0; w < workers; w++ {
-		foldMergeReport(report, &ms.reports[w])
-	}
-
-	// Serial fallback, stream order, after the parallel batch: the later
-	// member of every conflicting pair lands here, so conflicting
-	// proposals apply in exactly the serial merge's order.
-	cx := applyCtx{report: report, trace: o.ring0()}
-	for _, g := range ms.serIdx {
-		cx.tx = &txs[g]
-		traceInstant(cx.trace, o.tr.round, tracer.KindSegmentSerial, ms.off[g+1]-ms.off[g], int32(g), 0)
-		o.applySegment(props[ms.off[g]:ms.off[g+1]], &cx)
-	}
-
-	// Publish the buffered bookkeeping in segment (= stream) order: the
-	// journal, version, and edge count come out as a pure function of the
-	// merged stream, independent of worker scheduling.
-	for i := range txs {
-		o.net.CommitStaged(&txs[i])
-	}
-	traceSpan(o.roundRing(), o.tr.round, tracer.KindMerge, mts, int32(nseg), int32(len(ms.serIdx)))
-}
-
-// foldMergeReport folds a worker-local report into the round report.
-// Only counters the apply path can touch appear here, and all are
-// integers, so the fold is exact and order-free. Anything new the apply
-// path learns to count must be added to this list.
-func foldMergeReport(dst, src *StepReport) {
-	dst.Replacements += src.Replacements
-	dst.KeptNew += src.KeptNew
-	dst.Abandoned += src.Abandoned
-	dst.BlacklistHits += src.BlacklistHits
-	dst.FailedConnects += src.FailedConnects
-}
-
-// applySegment revalidates and applies one conflict segment in stream
-// order through cx.
-func (o *Optimizer) applySegment(props []proposal, cx *applyCtx) {
-	for i := range props {
-		o.applyOne(cx, &props[i])
-	}
+	traceSpan(o.roundRing(), o.tr.round, tracer.KindMerge, mts, int32(len(props)), 0)
 }
 
 // applyOne revalidates one proposal against the live network (an earlier
@@ -1014,7 +731,7 @@ func (o *Optimizer) applySegment(props []proposal, cx *applyCtx) {
 // serial engine uses. The triangle costs ride in the proposal — float32
 // round-trips of the oracle's float32 vectors, widened back bit-exactly
 // — so no cost vector is fetched here.
-func (o *Optimizer) applyOne(cx *applyCtx, pr *proposal) {
+func (o *Optimizer) applyOne(pr *proposal, report *StepReport) {
 	a, b, h := overlay.PeerID(pr.a), overlay.PeerID(pr.b), overlay.PeerID(pr.h)
 	if !o.net.Alive(a) || !o.net.Alive(b) || !o.net.Alive(h) {
 		return
@@ -1023,22 +740,15 @@ func (o *Optimizer) applyOne(cx *applyCtx, pr *proposal) {
 		return
 	}
 	if o.blacklisted(h) {
-		cx.report.BlacklistHits++
+		report.BlacklistHits++
 		return
 	}
 	switch pr.kind {
 	case propNaive:
 		// The naive policy decided at propose time (candidate beat the
 		// worst neighbor); the merge only applies it safely.
-		if o.net.Degree(b) > 1 && o.connectCtx(cx, a, h) {
-			if !o.safeCutCtx(cx, a, b) {
-				o.disconnectCtx(cx, a, h)
-				return
-			}
-			o.resolvePendingCtx(cx, a, b)
-			cx.report.Replacements++
-		}
+		o.replace(a, b, h, report)
 	default:
-		o.applyFigure4Decided(cx, a, b, h, float64(pr.ah), float64(pr.ab), float64(pr.bh))
+		o.applyFigure4Decided(a, b, h, float64(pr.ah), float64(pr.ab), float64(pr.bh), report)
 	}
 }

@@ -7,21 +7,24 @@ import (
 
 	"ace/internal/fault"
 	"ace/internal/overlay"
+	"ace/internal/sim"
 )
 
 // requireSameRound drives one identically seeded churn+round step on both
 // sides and fails on any divergence in report, per-peer state, or edges.
-func requireSameRound(t *testing.T, r int, a, b *diffSide, la, lb string) {
+// It returns b's report with its timing and shard-layout fields intact.
+func requireSameRound(t *testing.T, r int, a, b *diffSide, la, lb string) StepReport {
 	t.Helper()
 	a.churnStep(2)
 	b.churnStep(2)
-	ra := stripTiming(a.opt.Round(a.round))
-	rb := stripTiming(b.opt.Round(b.round))
-	if ra != rb {
+	ra := a.opt.Round(a.round)
+	rb := b.opt.Round(b.round)
+	if stripTiming(ra) != stripTiming(rb) {
 		t.Fatalf("round %d: reports diverged\n%s: %+v\n%s: %+v", r, la, ra, lb, rb)
 	}
 	requireSameStates(t, r, a.opt, b.opt, a.net.N())
 	requireSameEdges(t, r, a.net, b.net)
+	return rb
 }
 
 // TestShardedDeterministicAcrossShardCounts is the tentpole's determinism
@@ -58,85 +61,50 @@ func shardLabel(s int) string {
 // determinism proof with a fault injector active: probe timeouts and
 // dial failures drive the sharded Phase-1 sweep's retry/staleness
 // machinery and the blacklist, and none of it may depend on the shard
-// layout.
+// layout. The second case is a longer run under a different plan. Every
+// sharded report must also conserve its tallies: accepted rewires
+// cannot exceed probes, and neither imbalance can be negative.
 func TestShardedDeterministicUnderFaults(t *testing.T) {
-	const seed = 20260809
-	const rounds = 50
-	plan := fault.Plan{ProbeTimeoutRate: 0.15, ConnectFailRate: 0.1, Seed: 99}
-	for _, shards := range []int{2, 5, 8} {
-		t.Run(shardLabel(shards), func(t *testing.T) {
-			oneCfg := DefaultConfig(2)
-			oneCfg.Shards = 1
-			manyCfg := DefaultConfig(2)
-			manyCfg.Shards = shards
-
-			one := newDiffSide(t, seed, oneCfg)
-			many := newDiffSide(t, seed, manyCfg)
-			one.net.SetFaults(newInjector(t, plan))
-			many.net.SetFaults(newInjector(t, plan))
-			for r := 0; r < rounds; r++ {
-				requireSameRound(t, r, one, many, "shards=1", shardLabel(shards))
-			}
-		})
+	cases := []struct {
+		name   string
+		seed   int64
+		rounds int
+		plan   fault.Plan
+	}{
+		{"", 20260809, 50, fault.Plan{ProbeTimeoutRate: 0.15, ConnectFailRate: 0.1, Seed: 99}},
+		{"seed20260815", 20260815, 65, fault.Plan{ProbeTimeoutRate: 0.12, ConnectFailRate: 0.08, Seed: 7}},
 	}
-}
+	for _, tc := range cases {
+		run := func(t *testing.T) {
+			for _, shards := range []int{2, 5, 8} {
+				t.Run(shardLabel(shards), func(t *testing.T) {
+					oneCfg := DefaultConfig(2)
+					oneCfg.Shards = 1
+					manyCfg := DefaultConfig(2)
+					manyCfg.Shards = shards
 
-// TestParallelMergeProperty is the parallel merge's property test: at
-// shard counts {1, 2, 5, 8}, 65 churn rounds under fault injection run
-// twice with the same seed — once through the conflict-partitioned
-// parallel apply, once with forceSerialMerge pinning the stream-order
-// serial apply — and the two trajectories must match bit for bit
-// (reports including float traffic sums, per-peer states, edges).
-// Alongside, every parallel-side report must conserve its tallies:
-// accepted rewires cannot exceed probes, serial fallbacks cannot exceed
-// segments, segments cannot exceed probes, and the single-shard engine
-// must never segment at all. Runs under -race in CI, where the
-// conflict-partition claims discipline is also exercised for data races.
-func TestParallelMergeProperty(t *testing.T) {
-	const seed = 20260815
-	const rounds = 65
-	plan := fault.Plan{ProbeTimeoutRate: 0.12, ConnectFailRate: 0.08, Seed: 7}
-	for _, shards := range []int{1, 2, 5, 8} {
-		t.Run(shardLabel(shards), func(t *testing.T) {
-			cfg := DefaultConfig(2)
-			cfg.Shards = shards
-
-			par := newDiffSide(t, seed, cfg)
-			ser := newDiffSide(t, seed, cfg)
-			ser.opt.forceSerialMerge = true
-			par.net.SetFaults(newInjector(t, plan))
-			ser.net.SetFaults(newInjector(t, plan))
-			for r := 0; r < rounds; r++ {
-				par.churnStep(2)
-				ser.churnStep(2)
-				rp := par.opt.Round(par.round)
-				rs := ser.opt.Round(ser.round)
-				if stripTiming(rp) != stripTiming(rs) {
-					t.Fatalf("round %d: parallel and serial merge diverged\nparallel: %+v\nserial:   %+v",
-						r, rp, rs)
-				}
-				requireSameStates(t, r, par.opt, ser.opt, par.net.N())
-				requireSameEdges(t, r, par.net, ser.net)
-
-				if rp.Replacements+rp.KeptNew > rp.Probes {
-					t.Fatalf("round %d: %d accepted rewires exceed %d probes",
-						r, rp.Replacements+rp.KeptNew, rp.Probes)
-				}
-				if rp.MergeSerialFallbacks > rp.MergeSegments {
-					t.Fatalf("round %d: %d serial fallbacks exceed %d segments",
-						r, rp.MergeSerialFallbacks, rp.MergeSegments)
-				}
-				if rp.MergeSegments > rp.Probes {
-					t.Fatalf("round %d: %d segments exceed %d probes", r, rp.MergeSegments, rp.Probes)
-				}
-				if shards == 1 && rp.MergeSegments != 0 {
-					t.Fatalf("round %d: single-shard engine reported %d segments", r, rp.MergeSegments)
-				}
-				if rp.ProposeImbalance < 0 || rp.ShardImbalance < 0 {
-					t.Fatalf("round %d: negative imbalance %+v", r, rp)
-				}
+					one := newDiffSide(t, tc.seed, oneCfg)
+					many := newDiffSide(t, tc.seed, manyCfg)
+					one.net.SetFaults(newInjector(t, tc.plan))
+					many.net.SetFaults(newInjector(t, tc.plan))
+					for r := 0; r < tc.rounds; r++ {
+						rp := requireSameRound(t, r, one, many, "shards=1", shardLabel(shards))
+						if rp.Replacements+rp.KeptNew > rp.Probes {
+							t.Fatalf("round %d: %d accepted rewires exceed %d probes",
+								r, rp.Replacements+rp.KeptNew, rp.Probes)
+						}
+						if rp.ProposeImbalance < 0 || rp.ShardImbalance < 0 {
+							t.Fatalf("round %d: negative imbalance %+v", r, rp)
+						}
+					}
+				})
 			}
-		})
+		}
+		if tc.name == "" {
+			run(t)
+		} else {
+			t.Run(tc.name, run)
+		}
 	}
 }
 
@@ -307,5 +275,51 @@ func TestOwnerSpansPartition(t *testing.T) {
 	}
 	if prev != len(list) {
 		t.Fatalf("spans cover %d of %d peers", prev, len(list))
+	}
+}
+
+// TestFoldRunsMatchesGlobalSort pins the merge's run fold: folding the
+// shards' sorted runs must give exactly sortProposals over their
+// concatenation, for 1–8 runs, with empty runs among them and with keys
+// drawn from a range small enough that many proposals share a key and
+// only (a, b) orders them. Each case folds twice through the same
+// buffers, as consecutive rounds do.
+func TestFoldRunsMatchesGlobalSort(t *testing.T) {
+	rng := sim.NewRNG(20261019)
+	var bufs [2][]proposal
+	for runs := 1; runs <= 8; runs++ {
+		for trial := 0; trial < 20; trial++ {
+			shards := make([]*shardState, runs)
+			var all []proposal
+			used := map[[2]uint32]bool{}
+			for k := range shards {
+				sh := &shardState{}
+				// Every third run, and any run drawing 0, is empty.
+				n := rng.Intn(40)
+				if (k+trial)%3 == 0 {
+					n = 0
+				}
+				for len(sh.props) < n {
+					ab := [2]uint32{uint32(rng.Intn(30)), uint32(rng.Intn(30))}
+					if used[ab] {
+						continue // an (a, b) pair proposes at most once per round
+					}
+					used[ab] = true
+					sh.props = append(sh.props, proposal{
+						key: uint64(rng.Intn(8)), a: ab[0], b: ab[1], h: uint32(rng.Intn(1000)),
+					})
+				}
+				sortProposals(sh.props)
+				all = append(all, sh.props...)
+				shards[k] = sh
+			}
+			sortProposals(all)
+			for pass := 0; pass < 2; pass++ {
+				got := foldRuns(&bufs, shards)
+				if len(got) != len(all) || (len(all) > 0 && !reflect.DeepEqual(got, all)) {
+					t.Fatalf("%d runs, trial %d, pass %d: fold\n%v\nwant\n%v", runs, trial, pass, got, all)
+				}
+			}
+		}
 	}
 }

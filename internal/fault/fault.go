@@ -31,6 +31,7 @@ import (
 	"sync/atomic"
 
 	"ace/internal/obs"
+	"ace/internal/sim"
 )
 
 // Plan is one deterministic fault schedule. The zero Plan injects
@@ -197,22 +198,13 @@ const (
 	domNonce
 )
 
-// sm is the SplitMix64 finalizer — the same mixer sim.RNG.DeriveN uses —
-// applied per mixed-in word.
-func sm(z uint64) uint64 {
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-const golden = 0x9e3779b97f4a7c15
-
-// hash3 chains three words onto the plan seed and a domain tag.
+// hash3 chains three words onto the plan seed and a domain tag, one
+// sim.SplitMix64 round per mixed-in word.
 func (in *Injector) hash3(dom, a, b, c uint64) uint64 {
-	z := uint64(in.plan.Seed) ^ sm(dom)
-	z = sm(z + golden*(a+1))
-	z = sm(z + golden*(b+1))
-	z = sm(z + golden*(c+1))
+	z := uint64(in.plan.Seed) ^ sim.SplitMix64(dom)
+	z = sim.SplitMix64(z + sim.Golden*(a+1))
+	z = sim.SplitMix64(z + sim.Golden*(b+1))
+	z = sim.SplitMix64(z + sim.Golden*(c+1))
 	return z
 }
 
@@ -221,7 +213,7 @@ func u01(h uint64) float64 { return float64(h>>11) * (1.0 / (1 << 53)) }
 
 // Nonce derives a per-flood fault nonce from a query identifier (the
 // source peer), decorrelating one flood's loss pattern from another's.
-func Nonce(id uint64) uint64 { return sm(id*golden + domNonce) }
+func Nonce(id uint64) uint64 { return sim.SplitMix64(id*sim.Golden + domNonce) }
 
 // DropMessage reports whether the message (nonce, from→to, seq within
 // its flood) is lost in transit. The caller accounts the send either

@@ -28,17 +28,15 @@ func (s ShardLine) BusyNs() int64 { return s.BuildNs + s.SweepNs + s.ProposeNs }
 
 // RoundTimeline is the reconstructed schedule of one round.
 type RoundTimeline struct {
-	Round         int32
-	PhaseNs       [3]int64 // indexed by PhaseRebuild/PhasePhase3/PhaseRepair
-	Shards        []ShardLine
-	Straggler     int32   // track id of the busiest shard (-1 when untracked)
-	Imbalance     float64 // max shard busy / mean shard busy - 1 (0 for <2 shards)
-	MergeSegments int64
-	MergeSerial   int64 // serial-fallback segments
-	BuildReuse    int64
-	BuildRepair   int64
-	BuildDense    int64
-	FaultEvents   int64 // retries, timeouts, stale transitions, blacklists, purges
+	Round       int32
+	PhaseNs     [3]int64 // indexed by PhaseRebuild/PhasePhase3/PhaseRepair
+	Shards      []ShardLine
+	Straggler   int32   // track id of the busiest shard (-1 when untracked)
+	Imbalance   float64 // max shard busy / mean shard busy - 1 (0 for <2 shards)
+	BuildReuse  int64
+	BuildRepair int64
+	BuildDense  int64
+	FaultEvents int64 // retries, timeouts, stale transitions, blacklists, purges
 }
 
 // Hop is one edge of a query's deepest arrival path.
@@ -88,7 +86,7 @@ func AnalyzeRounds(c Capture) []RoundTimeline {
 	for _, ev := range c.Events {
 		switch ev.Kind {
 		case KindRoundStart, KindPhase, KindShardBuild, KindShardSweep, KindShardPropose,
-			KindMerge, KindSegmentSerial, KindBuildReuse, KindBuildRepair, KindBuildDense,
+			KindMerge, KindBuildReuse, KindBuildRepair, KindBuildDense,
 			KindProbeRetry, KindProbeTimeout, KindStaleServe, KindStaleExpire,
 			KindStaleReadmit, KindBlacklist, KindCrashPurge, KindConnectFail:
 		default:
@@ -114,11 +112,6 @@ func AnalyzeRounds(c Capture) []RoundTimeline {
 			s := shard(tl, ev.Track)
 			s.ProposeNs += ev.Dur
 			s.Proposed += int64(ev.A)
-		case KindMerge:
-			tl.MergeSegments += int64(ev.A)
-			tl.MergeSerial += int64(ev.B)
-		case KindSegmentSerial:
-			// counted via KindMerge args; the instants locate them in time
 		case KindBuildReuse:
 			tl.BuildReuse++
 		case KindBuildRepair:
@@ -265,8 +258,8 @@ func WriteReport(w io.Writer, c Capture, topQueries int) error {
 
 	if len(rounds) > 0 {
 		fmt.Fprintln(w, "\nper-round shard timeline:")
-		fmt.Fprintf(w, "%6s %10s %10s %10s %8s %-12s %9s %7s %6s %s\n",
-			"round", "rebuild ms", "phase3 ms", "repair ms", "shards", "straggler", "imbalance", "merge", "serial", "build reuse/repair/dense")
+		fmt.Fprintf(w, "%6s %10s %10s %10s %8s %-12s %9s %s\n",
+			"round", "rebuild ms", "phase3 ms", "repair ms", "shards", "straggler", "imbalance", "build reuse/repair/dense")
 		for _, tl := range rounds {
 			strag := "-"
 			if tl.Straggler >= 0 {
@@ -275,9 +268,9 @@ func WriteReport(w io.Writer, c Capture, topQueries int) error {
 					strag = fmt.Sprintf("track %d", tl.Straggler)
 				}
 			}
-			fmt.Fprintf(w, "%6d %10.3f %10.3f %10.3f %8d %-12s %8.1f%% %7d %6d %d/%d/%d\n",
+			fmt.Fprintf(w, "%6d %10.3f %10.3f %10.3f %8d %-12s %8.1f%% %d/%d/%d\n",
 				tl.Round, ms(tl.PhaseNs[PhaseRebuild]), ms(tl.PhaseNs[PhasePhase3]), ms(tl.PhaseNs[PhaseRepair]),
-				len(tl.Shards), strag, tl.Imbalance*100, tl.MergeSegments, tl.MergeSerial,
+				len(tl.Shards), strag, tl.Imbalance*100,
 				tl.BuildReuse, tl.BuildRepair, tl.BuildDense)
 		}
 		var fe int64

@@ -57,7 +57,6 @@ type RoundStats struct {
 	Round           int32 // tracer round sequence (Tracer.RoundSeq())
 	WallNanos       int64
 	SuccessRate     float64
-	SerialFallbacks int
 	RepairFallbacks int
 	ProbeTimeouts   int
 }
@@ -159,9 +158,6 @@ func (f *FlightRecorder) trigger(st RoundStats) string {
 		if m, ok := f.mean(func(s RoundStats) float64 { return s.SuccessRate }); ok && m-st.SuccessRate > f.cfg.SuccessDrop {
 			return "success-drop"
 		}
-	}
-	if f.spiked(st.SerialFallbacks, func(s RoundStats) float64 { return float64(s.SerialFallbacks) }) {
-		return "serial-fallback-spike"
 	}
 	if f.spiked(st.RepairFallbacks, func(s RoundStats) float64 { return float64(s.RepairFallbacks) }) {
 		return "repair-fallback-spike"

@@ -40,13 +40,12 @@ type Kind uint8
 const (
 	// Round engine (A/B/V semantics per kind; Round is the tracer's
 	// round sequence, assigned by BeginRound).
-	KindRoundStart    Kind = iota + 1 // instant; A = live peers
-	KindPhase                         // span; A = phase index (see PhaseName)
-	KindShardBuild                    // span; A = states built by the shard
-	KindShardSweep                    // span; A = probe targets swept
-	KindShardPropose                  // span; A = proposals emitted
-	KindMerge                         // span; A = conflict segments, B = serial fallbacks
-	KindSegmentSerial                 // instant; A = proposals in a serial-fallback segment
+	KindRoundStart   Kind = iota + 1 // instant; A = live peers
+	KindPhase                        // span; A = phase index (see PhaseName)
+	KindShardBuild                   // span; A = states built by the shard
+	KindShardSweep                   // span; A = probe targets swept
+	KindShardPropose                 // span; A = proposals emitted
+	KindMerge                        // span; A = proposals in the merged stream
 
 	// Phase-2 rebuild decisions, one per dirty peer.
 	KindBuildReuse  // instant; A = peer (identity fast path reused the state)
@@ -82,35 +81,34 @@ const (
 )
 
 var kindNames = [...]string{
-	KindRoundStart:    "round_start",
-	KindPhase:         "phase",
-	KindShardBuild:    "shard_build",
-	KindShardSweep:    "shard_sweep",
-	KindShardPropose:  "shard_propose",
-	KindMerge:         "merge",
-	KindSegmentSerial: "segment_serial",
-	KindBuildReuse:    "build_reuse",
-	KindBuildRepair:   "build_repair",
-	KindBuildDense:    "build_dense",
-	KindProbe:         "probe",
-	KindProbeRetry:    "probe_retry",
-	KindProbeTimeout:  "probe_timeout",
-	KindStaleServe:    "stale_serve",
-	KindStaleExpire:   "stale_expire",
-	KindStaleReadmit:  "stale_readmit",
-	KindConnect:       "connect",
-	KindConnectFail:   "connect_fail",
-	KindBlacklist:     "blacklist",
-	KindCrashPurge:    "crash_purge",
-	KindPeerJoin:      "peer_join",
-	KindPeerLeave:     "peer_leave",
-	KindPeerCrash:     "peer_crash",
-	KindQueryBegin:    "query_begin",
-	KindQueryArrive:   "query_arrive",
-	KindQueryForward:  "query_forward",
-	KindQueryDrop:     "query_drop",
-	KindQueryRespond:  "query_respond",
-	KindQueryEnd:      "query_end",
+	KindRoundStart:   "round_start",
+	KindPhase:        "phase",
+	KindShardBuild:   "shard_build",
+	KindShardSweep:   "shard_sweep",
+	KindShardPropose: "shard_propose",
+	KindMerge:        "merge",
+	KindBuildReuse:   "build_reuse",
+	KindBuildRepair:  "build_repair",
+	KindBuildDense:   "build_dense",
+	KindProbe:        "probe",
+	KindProbeRetry:   "probe_retry",
+	KindProbeTimeout: "probe_timeout",
+	KindStaleServe:   "stale_serve",
+	KindStaleExpire:  "stale_expire",
+	KindStaleReadmit: "stale_readmit",
+	KindConnect:      "connect",
+	KindConnectFail:  "connect_fail",
+	KindBlacklist:    "blacklist",
+	KindCrashPurge:   "crash_purge",
+	KindPeerJoin:     "peer_join",
+	KindPeerLeave:    "peer_leave",
+	KindPeerCrash:    "peer_crash",
+	KindQueryBegin:   "query_begin",
+	KindQueryArrive:  "query_arrive",
+	KindQueryForward: "query_forward",
+	KindQueryDrop:    "query_drop",
+	KindQueryRespond: "query_respond",
+	KindQueryEnd:     "query_end",
 }
 
 // String returns the export name of the kind.

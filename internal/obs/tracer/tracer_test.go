@@ -241,7 +241,7 @@ func TestFlightRecorderTriggers(t *testing.T) {
 		r.Record(Event{TS: tr.Now(), Round: st.Round, Kind: KindRoundStart})
 		return fr.Note(st)
 	}
-	healthy := RoundStats{WallNanos: 1e6, SuccessRate: 0.9, SerialFallbacks: 1}
+	healthy := RoundStats{WallNanos: 1e6, SuccessRate: 0.9, RepairFallbacks: 1}
 
 	// Baselines: no dumps while the window fills or stays healthy.
 	for i := 0; i < 4; i++ {
@@ -250,11 +250,11 @@ func TestFlightRecorderTriggers(t *testing.T) {
 		}
 	}
 
-	// Serial-fallback spike: 20 > 3 × mean(≈1) and ≥ SpikeMin.
+	// Repair-fallback spike: 20 > 3 × mean(≈1) and ≥ SpikeMin.
 	spike := healthy
-	spike.SerialFallbacks = 20
+	spike.RepairFallbacks = 20
 	path, trig, fired := feed(spike)
-	if !fired || trig != "serial-fallback-spike" {
+	if !fired || trig != "repair-fallback-spike" {
 		t.Fatalf("spike round: fired=%v trigger=%q", fired, trig)
 	}
 	f, err := os.Open(path)
@@ -269,7 +269,7 @@ func TestFlightRecorderTriggers(t *testing.T) {
 	if len(c.Events) == 0 {
 		t.Fatal("dump contains no events")
 	}
-	if want := filepath.Join(dir, "fr-round5-serial-fallback-spike.json"); path != want {
+	if want := filepath.Join(dir, "fr-round5-repair-fallback-spike.json"); path != want {
 		t.Fatalf("dump path %q, want %q", path, want)
 	}
 
@@ -300,7 +300,7 @@ func TestAnalyzeRounds(t *testing.T) {
 			{TS: 1100, Dur: 400, Round: 1, A: PhasePhase3, Kind: KindPhase},
 			{TS: 1150, Dur: 100, Round: 1, A: 4, Track: 0, Kind: KindShardPropose},
 			{TS: 1150, Dur: 100, Round: 1, A: 4, Track: 1, Kind: KindShardPropose},
-			{TS: 1500, Dur: 50, Round: 1, A: 3, B: 1, Kind: KindMerge},
+			{TS: 1500, Dur: 50, Round: 1, A: 3, Kind: KindMerge},
 			{TS: 1600, Round: 1, A: 7, Kind: KindBuildRepair},
 			{TS: 1700, Round: 1, A: 8, Kind: KindProbeTimeout},
 		},
@@ -319,9 +319,6 @@ func TestAnalyzeRounds(t *testing.T) {
 	}
 	if tl.PhaseNs[PhaseRebuild] != 1000 || tl.PhaseNs[PhasePhase3] != 400 {
 		t.Fatalf("phase durations wrong: %v", tl.PhaseNs)
-	}
-	if tl.MergeSegments != 3 || tl.MergeSerial != 1 {
-		t.Fatalf("merge stats wrong: %d/%d", tl.MergeSegments, tl.MergeSerial)
 	}
 	if tl.BuildRepair != 1 || tl.FaultEvents != 1 {
 		t.Fatalf("decision/fault counts wrong: %+v", tl)

@@ -104,11 +104,24 @@ func (r *RNG) DeriveN(label string, n int) *RNG {
 	h := fnv.New64a()
 	_, _ = h.Write([]byte(label))
 	seed := r.seed ^ int64(h.Sum64())
-	// SplitMix64-style finalizer over the index keeps adjacent indices
-	// decorrelated without allocating a label string per entity.
-	z := uint64(seed) + 0x9e3779b97f4a7c15*uint64(n+1)
+	// The finalizer over the index keeps adjacent indices decorrelated
+	// without allocating a label string per entity.
+	return NewRNG(int64(SplitMix64(uint64(seed) + Golden*uint64(n+1))))
+}
+
+// Golden is splitmix64's increment, 2⁶⁴ divided by the golden ratio.
+// Adding (id+1)·Golden before SplitMix64 spreads consecutive ids over
+// the whole 64-bit range.
+const Golden = 0x9e3779b97f4a7c15
+
+// SplitMix64 is the splitmix64 finalizer, a bijective 64-bit mixer.
+// Every schedule-free derivation in the engine is built from it:
+// DeriveN's per-index seeds, internal/fault's decision hashes, and the
+// sharded engine's per-peer streams and merge keys (internal/core).
+// Each hashes (seed, ids) instead of drawing from a shared stream, so
+// its outcome cannot depend on goroutine schedule or shard layout.
+func SplitMix64(z uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	z ^= z >> 31
-	return NewRNG(int64(z))
+	return z ^ (z >> 31)
 }
