@@ -38,7 +38,7 @@ type (
 	// Optimizer runs ACE rounds over a Network.
 	Optimizer = core.Optimizer
 	// Config parameterizes the optimizer (closure depth, policy,
-	// overhead calibration).
+	// degree ceiling, round engine).
 	Config = core.Config
 	// Policy selects the Phase-3 replacement policy.
 	Policy = core.Policy

@@ -163,6 +163,10 @@ func TestRestoreRejectsConflictingFlags(t *testing.T) {
 		{"-restore", dir, "-peers", "121"},
 		{"-restore", dir, "-seed", "4"},
 		{"-restore", dir, "-loss", "0.5"},
+		{"-restore", dir, "-policy", "naive"},
+		// An unknown name is an error, not a silent match for the
+		// checkpointed policy.
+		{"-restore", dir, "-policy", "bogus", "-replay-to", "3"},
 		{"-replay-to", "5"}, // -replay-to without -restore
 	} {
 		if code := run(args); code != 2 {

@@ -142,6 +142,11 @@ func run(args []string) int {
 		fmt.Fprintln(os.Stderr, "acesim: -replay-to requires -restore")
 		return 2
 	}
+	policy, ok := parsePolicy(*policyName)
+	if !ok {
+		fmt.Fprintf(os.Stderr, "acesim: unknown policy %q\n", *policyName)
+		return 2
+	}
 
 	// Service mode: load the checkpoint first — on restore its Meta IS
 	// the run configuration, and explicitly-set flags that contradict it
@@ -176,7 +181,7 @@ func run(args []string) int {
 			{"queries", int64(*queries) != m.Queries},
 			{"churnpeers", int64(*churnPeers) != m.ChurnPeers},
 			{"faultonset", int64(*faultOnset) != m.FaultOnset},
-			{"policy", policyNumber(*policyName) != m.Policy},
+			{"policy", policy != ace.Policy(m.Policy)},
 			{"faults", true},
 			{"loss", true},
 			{"crash", true},
@@ -190,7 +195,7 @@ func run(args []string) int {
 		*c, *depth, *shards = int(m.AvgDegree), int(m.Depth), int(m.Shards)
 		*queries, *churnPeers = int(m.Queries), int(m.ChurnPeers)
 		*faultOnset = int(m.FaultOnset)
-		*policyName = policyString(m.Policy)
+		policy = ace.Policy(m.Policy)
 		if *checkpointDir == "" {
 			*checkpointDir = *restoreDir
 		}
@@ -234,19 +239,6 @@ func run(args []string) int {
 			dir = "."
 		}
 		flight = tracer.NewFlightRecorder(tracer.Default(), tracer.FlightConfig{Dir: dir, Prefix: base})
-	}
-
-	var policy ace.Policy
-	switch *policyName {
-	case "random":
-		policy = ace.PolicyRandom
-	case "naive":
-		policy = ace.PolicyNaive
-	case "closest":
-		policy = ace.PolicyClosest
-	default:
-		fmt.Fprintf(os.Stderr, "acesim: unknown policy %q\n", *policyName)
-		return 2
 	}
 
 	// Assemble the fault plan: the checkpoint's plan on restore, else an
@@ -661,26 +653,14 @@ func addStats(base, cur fault.Stats) fault.Stats {
 	}
 }
 
-func policyNumber(name string) int64 {
-	switch name {
-	case "naive":
-		return int64(ace.PolicyNaive)
-	case "closest":
-		return int64(ace.PolicyClosest)
-	default:
-		return int64(ace.PolicyRandom)
+// parsePolicy resolves a -policy name through Policy.String.
+func parsePolicy(name string) (ace.Policy, bool) {
+	for _, p := range []ace.Policy{ace.PolicyRandom, ace.PolicyNaive, ace.PolicyClosest} {
+		if p.String() == name {
+			return p, true
+		}
 	}
-}
-
-func policyString(n int64) string {
-	switch ace.Policy(n) {
-	case ace.PolicyNaive:
-		return "naive"
-	case ace.PolicyClosest:
-		return "closest"
-	default:
-		return "random"
-	}
+	return 0, false
 }
 
 // writeTrace dumps the whole recorded trace: Chrome trace-event JSON

@@ -81,7 +81,7 @@ func generateOverlay(rng *sim.RNG, n, c int, out string) {
 	if err != nil {
 		fatal(err)
 	}
-	oracle := physical.NewOracle(phys.Graph, 0)
+	oracle := physical.NewOracle(phys.Graph)
 	attach, err := overlay.RandomAttachments(rng.Derive("attach"), physN, n)
 	if err != nil {
 		fatal(err)

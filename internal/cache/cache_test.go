@@ -85,7 +85,7 @@ func chainNet(t *testing.T) *overlay.Network {
 	for i := 0; i < 3; i++ {
 		g.AddEdge(i, i+1, 1)
 	}
-	net, err := overlay.NewNetwork(physical.NewOracle(g, 0), []int{0, 1, 2, 3})
+	net, err := overlay.NewNetwork(physical.NewOracle(g), []int{0, 1, 2, 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -193,7 +193,7 @@ func diffCacheNet(t *testing.T, seed int64, h int) (*overlay.Network, *core.Opti
 	if err != nil {
 		t.Fatal(err)
 	}
-	net, err := overlay.NewNetwork(physical.NewOracle(phys.Graph, 0), attach)
+	net, err := overlay.NewNetwork(physical.NewOracle(phys.Graph), attach)
 	if err != nil {
 		t.Fatal(err)
 	}

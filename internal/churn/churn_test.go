@@ -23,7 +23,7 @@ func testNet(t *testing.T, seed int64, physN, slots int) *overlay.Network {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net, err := overlay.NewNetwork(physical.NewOracle(phys.Graph, 0), attach)
+	net, err := overlay.NewNetwork(physical.NewOracle(phys.Graph), attach)
 	if err != nil {
 		t.Fatal(err)
 	}

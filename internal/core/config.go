@@ -63,25 +63,6 @@ type Config struct {
 	// NaiveProbes bounds how many candidates PolicyNaive measures per
 	// step (ignored by the other policies).
 	NaiveProbes int
-	// ExchangeHeaderCost is the fixed traffic cost of one cost-table
-	// exchange message per unit of physical delay, relative to a query
-	// message costing 1 per delay unit. One exchange message flows on
-	// every logical link each cycle regardless of depth.
-	ExchangeHeaderCost float64
-	// TableEntryCost is the additional traffic cost of each cost-table
-	// entry carried in an exchange message, per unit of physical delay.
-	// Entries grow with the closure, so this term makes the overhead
-	// climb with h (Figure 12) while the header term keeps shallow
-	// depths from being free. See EXPERIMENTS.md for the calibration.
-	TableEntryCost float64
-	// ProbeCost is the traffic cost of one delay-probe round trip per
-	// unit of physical delay.
-	ProbeCost float64
-	// MinDegree is the connection floor every client maintains (real
-	// Gnutella clients keep a minimum number of connections open); a
-	// peer below it opens fresh bootstrap connections each round, which
-	// is what re-knits pairs severed by Phase-3 rewiring.
-	MinDegree int
 	// MaxDegree is the connection ceiling every client enforces (real
 	// Gnutella clients likewise refuse connections past their configured
 	// maximum). A saturated peer refuses every incoming dial, so Phase 3
@@ -118,47 +99,6 @@ type Config struct {
 	// DESIGN.md §5e.
 	Shards int
 
-	// NoIncremental forces every RebuildTrees to reconstruct all peer
-	// states from scratch — the pre-journal behavior, kept as the
-	// reference side of the differential tests and as an escape hatch.
-	NoIncremental bool
-	// NoRepair disables the incremental tree-repair kernel (repair.go):
-	// dirty peers always rebuild their closure MST with dense Prim, as
-	// before PR 8. The canonical MST is unique, so the trajectory is
-	// identical either way — this is the reference side of the
-	// repair-vs-full differential tests and an escape hatch.
-	NoRepair bool
-
-	// Fault-hardening knobs. They shape how the protocol reacts to an
-	// attached fault.Injector; with no injector none of them is ever
-	// consulted, so the zero values cost nothing on clean runs.
-
-	// ProbeRetryBudget is how many times a Phase-1 probe that timed out is
-	// retried within the round. 0 disables retries: one timeout is final.
-	ProbeRetryBudget int
-	// ProbeBackoffCap bounds the retry backoff: retry k waits 2^(k−1)
-	// probe intervals (capped at 2^ProbeBackoffCap), and the round's retry
-	// window is 2^ProbeBackoffCap intervals — so at most ProbeBackoffCap
-	// retries fit no matter how large ProbeRetryBudget is. The effective
-	// retry count is min(ProbeRetryBudget, ProbeBackoffCap).
-	ProbeBackoffCap int
-	// StaleTTL is how many consecutive exchange cycles a peer's cost
-	// entries may go unrefreshed (every prober exhausted its retries)
-	// before the peer is excluded from closures: stale entries are served
-	// last-known-good through TTL−1 and the peer drops out at TTL. 0
-	// selects DefaultStaleTTL.
-	StaleTTL int
-	// BlacklistAfter is the consecutive dial-failure streak that
-	// blacklists a peer from Phase-3/bootstrap candidate selection. 0
-	// disables blacklisting.
-	BlacklistAfter int
-	// BlacklistBase is the first blacklist duration in rounds; each
-	// subsequent blacklisting of the same peer doubles it (capped at
-	// BlacklistCap) until a successful connection clears the history.
-	BlacklistBase int
-	// BlacklistCap is the blacklist-duration ceiling in rounds.
-	BlacklistCap int
-
 	// SparseKnowledge is an ABLATION switch: build Phase-2 trees over
 	// only the overlay subgraph inside the closure instead of the
 	// complete pairwise cost graph (DESIGN.md §5.1 argues the paper's
@@ -172,30 +112,12 @@ type Config struct {
 	NoLaunchElection bool
 }
 
-// DefaultConfig returns the paper-faithful configuration: depth h,
-// random replacement, and the overhead calibration documented in
-// EXPERIMENTS.md.
+// DefaultConfig returns the paper-faithful configuration: depth h and
+// random replacement. The overhead calibration (state.go) and the fault
+// hardening (fault.go) are constants of the protocol, not options.
 func DefaultConfig(h int) Config {
-	return Config{
-		Depth:              h,
-		Policy:             PolicyRandom,
-		NaiveProbes:        3,
-		ExchangeHeaderCost: 0.8,
-		TableEntryCost:     4e-6,
-		ProbeCost:          0.4,
-		MinDegree:          2,
-		ProbeRetryBudget:   3,
-		ProbeBackoffCap:    4,
-		StaleTTL:           DefaultStaleTTL,
-		BlacklistAfter:     2,
-		BlacklistBase:      2,
-		BlacklistCap:       16,
-	}
+	return Config{Depth: h, Policy: PolicyRandom, NaiveProbes: 3}
 }
-
-// DefaultStaleTTL is the stale-entry TTL in exchange cycles when the
-// config leaves it zero.
-const DefaultStaleTTL = 3
 
 // AOTOConfig returns the configuration of AOTO (reference [8], the
 // GLOBECOM 2003 preliminary design of ACE): 1-neighbor closures and the
@@ -220,24 +142,14 @@ func (c Config) validate() error {
 	if c.NaiveProbes < 1 && c.Policy == PolicyNaive {
 		return fmt.Errorf("core: naive policy needs NaiveProbes >= 1")
 	}
-	if c.TableEntryCost < 0 || c.ProbeCost < 0 || c.ExchangeHeaderCost < 0 {
-		return fmt.Errorf("core: negative overhead calibration")
-	}
-	if c.MinDegree < 0 {
-		return fmt.Errorf("core: negative MinDegree")
-	}
 	if c.MaxDegree < 0 {
 		return fmt.Errorf("core: negative MaxDegree")
 	}
-	if c.MaxDegree > 0 && c.MaxDegree < c.MinDegree {
-		return fmt.Errorf("core: MaxDegree %d below MinDegree %d", c.MaxDegree, c.MinDegree)
+	if c.MaxDegree > 0 && c.MaxDegree < minDegree {
+		return fmt.Errorf("core: MaxDegree %d below the minimum degree %d", c.MaxDegree, minDegree)
 	}
 	if c.Shards < -1 {
 		return fmt.Errorf("core: Shards %d, need >= -1", c.Shards)
-	}
-	if c.ProbeRetryBudget < 0 || c.ProbeBackoffCap < 0 || c.StaleTTL < 0 ||
-		c.BlacklistAfter < 0 || c.BlacklistBase < 0 || c.BlacklistCap < 0 {
-		return fmt.Errorf("core: negative fault-hardening knob")
 	}
 	return nil
 }

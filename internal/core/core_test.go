@@ -25,7 +25,7 @@ func lineNet(t *testing.T, attach []int) *overlay.Network {
 	for i := 0; i < maxNode; i++ {
 		g.AddEdge(i, i+1, 1)
 	}
-	net, err := overlay.NewNetwork(physical.NewOracle(g, 0), attach)
+	net, err := overlay.NewNetwork(physical.NewOracle(g), attach)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,9 @@ func TestConfigValidation(t *testing.T) {
 		{Depth: 0, Policy: PolicyRandom},
 		{Depth: 1, Policy: Policy(99)},
 		{Depth: 1, Policy: PolicyNaive, NaiveProbes: 0},
-		{Depth: 1, Policy: PolicyRandom, TableEntryCost: -1},
+		{Depth: 1, Policy: PolicyRandom, MaxDegree: -1},
+		{Depth: 1, Policy: PolicyRandom, MaxDegree: minDegree - 1},
+		{Depth: 1, Policy: PolicyRandom, Shards: -2},
 	} {
 		if _, err := NewOptimizer(net, cfg); err == nil {
 			t.Fatalf("config %+v accepted", cfg)
@@ -143,7 +145,7 @@ func TestMinCostNeighborAlwaysFlooding(t *testing.T) {
 		t.Fatal(err)
 	}
 	attach, _ := overlay.RandomAttachments(rng.Derive("at"), 300, 150)
-	net, _ := overlay.NewNetwork(physical.NewOracle(phys.Graph, 0), attach)
+	net, _ := overlay.NewNetwork(physical.NewOracle(phys.Graph), attach)
 	if err := overlay.GenerateRandom(rng.Derive("gen"), net, 6); err != nil {
 		t.Fatal(err)
 	}
@@ -328,18 +330,5 @@ func TestOptimizerString(t *testing.T) {
 	o.RebuildTrees()
 	if got := o.String(); got != "ACE(h=2, policy=random, peers=4)" {
 		t.Fatalf("String() = %q", got)
-	}
-}
-
-func TestMinDegreeValidation(t *testing.T) {
-	net := starChord(t)
-	cfg := DefaultConfig(1)
-	cfg.MinDegree = -1
-	if _, err := NewOptimizer(net, cfg); err == nil {
-		t.Fatal("negative MinDegree accepted")
-	}
-	cfg.MinDegree = 0 // zero disables maintenance: allowed
-	if _, err := NewOptimizer(net, cfg); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -15,28 +15,47 @@ import (
 //     neighbors' adjacency. The holders detect them via their next
 //     periodic probe (which times out), pay for that probe, and purge
 //     the edge — so debris survives at most one round before the
-//     MinDegree repair path re-knits the survivors.
-//   - Phase-1 probe retry: a probe that times out is retried with
-//     exponential backoff (2^(k−1) probe intervals, capped) under the
-//     per-round ProbeRetryBudget; each retry pays probe traffic.
+//     minimum-degree repair path re-knits the survivors.
+//   - Phase-1 probe retry: a probe that times out is retried up to
+//     probeRetries times within the round, with exponential backoff
+//     (retry k waits 2^(k−1) probe intervals); each retry pays probe
+//     traffic.
 //   - Staleness: when EVERY prober of a peer exhausts its retries in
 //     one cycle, that peer's table entries went unrefreshed and its
 //     staleness age grows. Entries are served last-known-good while the
-//     age is below StaleTTL (costs come from the most recent successful
+//     age is below staleTTL (costs come from the most recent successful
 //     exchange — the physical delays themselves are stationary, so the
 //     cached values are exactly the last-known-good readings); at
-//     StaleTTL the peer is excluded from closures, so Phase-2 MSTs
+//     staleTTL the peer is excluded from closures, so Phase-2 MSTs
 //     degrade by shrinking rather than spanning garbage. Any successful
 //     probe resets the age and readmits the peer.
 //   - Dial blacklist: Phase-3/bootstrap connection attempts can fail; a
-//     streak of BlacklistAfter consecutive failures blacklists the
-//     target for BlacklistBase rounds, doubling per re-blacklisting up
-//     to BlacklistCap, so the optimizer stops burning probes on dead
+//     streak of blacklistAfter consecutive failures blacklists the
+//     target for blacklistBase rounds, doubling per re-blacklisting up
+//     to blacklistCap, so the optimizer stops burning probes on dead
 //     candidates. One successful connection clears the history.
 //
 // Everything is sized lazily and gated on (injector attached || debris
 // present), so clean runs never touch this state — pinned bit-identical
 // by TestFaultNilInjectorDoesNotPerturb.
+
+// The fault-hardening constants. None of them is consulted on a run with
+// no injector attached.
+const (
+	// probeRetries is how many times a Phase-1 probe that timed out is
+	// retried within the round.
+	probeRetries = 3
+	// staleTTL is how many consecutive exchange cycles a peer's cost
+	// entries may go unrefreshed before the peer is excluded from
+	// closures.
+	staleTTL = 3
+	// blacklistAfter is the dial-failure streak that blacklists a peer;
+	// the first blacklisting lasts blacklistBase rounds and each later
+	// one doubles, up to blacklistCap rounds.
+	blacklistAfter = 2
+	blacklistBase  = 2
+	blacklistCap   = 16
+)
 
 // ensureFaultState sizes the per-peer fault arrays.
 func (o *Optimizer) ensureFaultState() {
@@ -47,24 +66,6 @@ func (o *Optimizer) ensureFaultState() {
 		o.blackExp = make([]uint8, n)
 		o.blackUntil = make([]int32, n)
 	}
-}
-
-// staleTTL resolves the configured TTL (0 selects DefaultStaleTTL).
-func (o *Optimizer) staleTTL() int32 {
-	if o.cfg.StaleTTL > 0 {
-		return int32(o.cfg.StaleTTL)
-	}
-	return DefaultStaleTTL
-}
-
-// retryLimit is the effective per-probe retry count: the backoff window
-// of 2^ProbeBackoffCap probe intervals fits at most ProbeBackoffCap
-// exponentially spaced retries, so the cap saturates the budget.
-func (o *Optimizer) retryLimit() int {
-	if o.cfg.ProbeRetryBudget < o.cfg.ProbeBackoffCap {
-		return o.cfg.ProbeRetryBudget
-	}
-	return o.cfg.ProbeBackoffCap
 }
 
 // faultPhase runs before each round's rebuild: it advances the injector
@@ -90,7 +91,7 @@ func (o *Optimizer) faultPhase(peers []overlay.PeerID, report *StepReport) {
 		o.dangleBuf = o.net.DanglingPairs(o.dangleBuf[:0])
 		r0 := o.ring0()
 		for _, dp := range o.dangleBuf {
-			report.ProbeTraffic += o.cfg.ProbeCost * o.net.CostsFrom(dp.Holder).To(dp.Dead)
+			report.ProbeTraffic += probeCost * o.net.CostsFrom(dp.Holder).To(dp.Dead)
 			report.ProbeTimeouts++
 			report.PurgedEdges++
 			traceInstant(r0, o.tr.round, tracer.KindCrashPurge, int32(dp.Holder), int32(dp.Dead), 0)
@@ -104,7 +105,7 @@ func (o *Optimizer) faultPhase(peers []overlay.PeerID, report *StepReport) {
 	// Phase-1 probe protocol, per target: each live neighbor probes the
 	// target, retrying on timeout. The first attempt is already priced
 	// into the exchange contribution; only retries pay extra. A target
-	// nobody reached this cycle ages toward StaleTTL.
+	// nobody reached this cycle ages toward staleTTL.
 	//
 	// Targets are independent (each target's pass writes only its own
 	// staleFor/excluded slots and reads frozen network state), so the
@@ -113,14 +114,14 @@ func (o *Optimizer) faultPhase(peers []overlay.PeerID, report *StepReport) {
 	// accumulators, and foldSweep re-serializes both into the legacy
 	// accumulation order.
 	s := max(1, o.fanWidth(o.shardCount(), len(peers)))
-	o.probeSweep(peers, inj, o.retryLimit(), o.staleTTL(), s, report)
+	o.probeSweep(peers, inj, s, report)
 }
 
 // probeOneTarget runs one target's share of the Phase-1 probe/staleness
 // protocol, accumulating into the shard's sweep buffers. It writes only
 // b's staleFor/excluded slots, so targets can run concurrently as long
 // as no two shards share a target.
-func (o *Optimizer) probeOneTarget(b overlay.PeerID, inj *fault.Injector, retries int, ttl int32, sh *shardState) {
+func (o *Optimizer) probeOneTarget(b overlay.PeerID, inj *fault.Injector, sh *shardState) {
 	probers := o.net.NeighborsView(b)
 	reached := len(probers) == 0 // an isolated peer has no entries to go stale
 	for _, a := range probers {
@@ -128,13 +129,13 @@ func (o *Optimizer) probeOneTarget(b overlay.PeerID, inj *fault.Injector, retrie
 			continue
 		}
 		cab := -1.0
-		for k := 0; k <= retries; k++ {
+		for k := 0; k <= probeRetries; k++ {
 			if k > 0 {
 				if cab < 0 {
 					cab = o.net.CostsFrom(a).To(b)
 				}
 				sh.retries++
-				sh.retryCosts = append(sh.retryCosts, o.cfg.ProbeCost*cab)
+				sh.retryCosts = append(sh.retryCosts, probeCost*cab)
 				traceInstant(sh.trace, sh.traceRound, tracer.KindProbeRetry, int32(a), int32(b), float64(k))
 			}
 			if !inj.ProbeTimeout(int(a), int(b), k) {
@@ -160,18 +161,18 @@ func (o *Optimizer) probeOneTarget(b overlay.PeerID, inj *fault.Injector, retrie
 	switch {
 	case o.staleFor[b] == 1:
 		sh.staleMarked++
-	case o.staleFor[b] == ttl:
+	case o.staleFor[b] == staleTTL:
 		sh.staleExpired++
 	}
 	if sh.trace != nil {
-		if o.staleFor[b] == ttl {
-			traceInstant(sh.trace, sh.traceRound, tracer.KindStaleExpire, int32(b), 0, float64(ttl))
-		} else if o.staleFor[b] < ttl {
+		if o.staleFor[b] == staleTTL {
+			traceInstant(sh.trace, sh.traceRound, tracer.KindStaleExpire, int32(b), 0, staleTTL)
+		} else if o.staleFor[b] < staleTTL {
 			// Entries for b are being served last-known-good this round.
 			traceInstant(sh.trace, sh.traceRound, tracer.KindStaleServe, int32(b), 0, float64(o.staleFor[b]))
 		}
 	}
-	if o.staleFor[b] >= ttl && !o.excluded[b] {
+	if o.staleFor[b] >= staleTTL && !o.excluded[b] {
 		o.excluded[b] = true
 		sh.flips = append(sh.flips, b)
 	}
@@ -226,24 +227,21 @@ func (o *Optimizer) tryConnect(a, h overlay.PeerID, report *StepReport) bool {
 }
 
 // noteDialFailure advances h's failure streak and blacklists it when
-// the streak reaches BlacklistAfter: the first blacklist lasts
-// BlacklistBase rounds and each subsequent one doubles, capped at
-// BlacklistCap, until a successful dial clears the exponent. It returns
+// the streak reaches blacklistAfter: the first blacklist lasts
+// blacklistBase rounds and each subsequent one doubles, capped at
+// blacklistCap, until a successful dial clears the exponent. It returns
 // the blacklist duration installed by this failure (0 when none), so
 // callers can attribute the blacklisting without re-deriving the state.
 func (o *Optimizer) noteDialFailure(h overlay.PeerID) int {
-	if o.cfg.BlacklistAfter <= 0 {
-		return 0
-	}
 	o.dialFails[h]++
-	if int(o.dialFails[h]) < o.cfg.BlacklistAfter {
+	if o.dialFails[h] < blacklistAfter {
 		return 0
 	}
 	o.dialFails[h] = 0
-	dur := o.cfg.BlacklistBase << o.blackExp[h]
-	if o.cfg.BlacklistCap > 0 && dur > o.cfg.BlacklistCap {
-		dur = o.cfg.BlacklistCap
-	} else if o.blackExp[h] < 30 {
+	dur := blacklistBase << o.blackExp[h]
+	if dur > blacklistCap {
+		dur = blacklistCap
+	} else {
 		o.blackExp[h]++
 	}
 	o.blackUntil[h] = int32(o.roundNum + dur)

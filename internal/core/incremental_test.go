@@ -20,6 +20,7 @@ type diffSide struct {
 	opt   *Optimizer
 	churn *sim.RNG
 	round *sim.RNG
+	full  bool // reference side: every rebuild is a full one (see desync)
 }
 
 func newDiffSide(t *testing.T, seed int64, cfg Config) *diffSide {
@@ -33,7 +34,7 @@ func newDiffSide(t *testing.T, seed int64, cfg Config) *diffSide {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net, err := overlay.NewNetwork(physical.NewOracle(phys.Graph, 0), attach)
+	net, err := overlay.NewNetwork(physical.NewOracle(phys.Graph), attach)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,6 +54,44 @@ func newDiffSide(t *testing.T, seed int64, cfg Config) *diffSide {
 		opt:   opt,
 		churn: sim.NewRNG(seed + 1),
 		round: sim.NewRNG(seed + 2),
+	}
+}
+
+// newRefSide is newDiffSide for the reference side of a differential.
+func newRefSide(t *testing.T, seed int64, cfg Config) *diffSide {
+	s := newDiffSide(t, seed, cfg)
+	s.full = true
+	return s
+}
+
+// desync sends a reference side's next rebuild down the full path that
+// production takes on the first round and after a journal desync: every
+// live state rebuilt from scratch with dense Prim, no dirty region, no
+// repair. It is a no-op on the side under test.
+func (s *diffSide) desync() {
+	if s.full {
+		s.opt.synced = false
+	}
+}
+
+// step runs one Round after desync.
+func (s *diffSide) step() StepReport {
+	s.desync()
+	return s.opt.Round(s.round)
+}
+
+// rebuildTrees runs one RebuildTrees after desync.
+func (s *diffSide) rebuildTrees() float64 {
+	s.desync()
+	return s.opt.RebuildTrees()
+}
+
+// requireAllFull checks that a reference side took the full rebuild on
+// every one of its rounds.
+func requireAllFull(t *testing.T, ref *diffSide, rounds int) {
+	t.Helper()
+	if fs := ref.opt.RebuildStats(); fs.Incremental != 0 || fs.Full != rounds {
+		t.Fatalf("reference side took the incremental path: %+v", fs)
 	}
 }
 
@@ -124,19 +163,15 @@ func TestIncrementalMatchesFullRebuild(t *testing.T) {
 	const seed = 20240806
 	const rounds = 210
 
-	incCfg := DefaultConfig(2)
-	fullCfg := DefaultConfig(2)
-	fullCfg.NoIncremental = true
-
-	inc := newDiffSide(t, seed, incCfg)
-	full := newDiffSide(t, seed, fullCfg)
+	inc := newDiffSide(t, seed, DefaultConfig(2))
+	full := newRefSide(t, seed, DefaultConfig(2))
 	requireSameEdges(t, -1, inc.net, full.net)
 
 	for r := 0; r < rounds; r++ {
 		inc.churnStep(2)
 		full.churnStep(2)
-		ri := stripTiming(inc.opt.Round(inc.round))
-		rf := stripTiming(full.opt.Round(full.round))
+		ri := stripTiming(inc.step())
+		rf := stripTiming(full.step())
 		if ri != rf {
 			t.Fatalf("round %d: reports diverged\nincremental: %+v\nfull:        %+v", r, ri, rf)
 		}
@@ -148,9 +183,7 @@ func TestIncrementalMatchesFullRebuild(t *testing.T) {
 	if is.Incremental < rounds-10 {
 		t.Fatalf("incremental path barely ran: %+v", is)
 	}
-	if fs.Incremental != 0 || fs.Full != rounds {
-		t.Fatalf("full side took the incremental path: %+v", fs)
-	}
+	requireAllFull(t, full, rounds)
 	// No PeersRebuilt assertion here: at this tiny scale Phase 3 rewires
 	// edges all over the graph every round, so the dirty region covering
 	// most peers is the correct answer. The savings regime is exercised
@@ -167,18 +200,14 @@ func TestIncrementalChurnOnlySavesWork(t *testing.T) {
 	const seed = 9
 	const rounds = 200
 
-	incCfg := DefaultConfig(1)
-	fullCfg := DefaultConfig(1)
-	fullCfg.NoIncremental = true
-
-	inc := newDiffSide(t, seed, incCfg)
-	full := newDiffSide(t, seed, fullCfg)
+	inc := newDiffSide(t, seed, DefaultConfig(1))
+	full := newRefSide(t, seed, DefaultConfig(1))
 
 	for r := 0; r < rounds; r++ {
 		inc.churnStep(1)
 		full.churnStep(1)
-		ci := inc.opt.RebuildTrees()
-		cf := full.opt.RebuildTrees()
+		ci := inc.rebuildTrees()
+		cf := full.rebuildTrees()
 		if ci != cf {
 			t.Fatalf("round %d: exchange cost diverged: %v vs %v", r, ci, cf)
 		}
@@ -206,18 +235,14 @@ func TestIncrementalChurnOnlySavesWorkDepth2(t *testing.T) {
 	const seed = 13
 	const rounds = 120
 
-	incCfg := DefaultConfig(2)
-	fullCfg := DefaultConfig(2)
-	fullCfg.NoIncremental = true
-
-	inc := newDiffSide(t, seed, incCfg)
-	full := newDiffSide(t, seed, fullCfg)
+	inc := newDiffSide(t, seed, DefaultConfig(2))
+	full := newRefSide(t, seed, DefaultConfig(2))
 
 	for r := 0; r < rounds; r++ {
 		inc.churnStep(1)
 		full.churnStep(1)
-		ci := inc.opt.RebuildTrees()
-		cf := full.opt.RebuildTrees()
+		ci := inc.rebuildTrees()
+		cf := full.rebuildTrees()
 		if ci != cf {
 			t.Fatalf("round %d: exchange cost diverged: %v vs %v", r, ci, cf)
 		}
@@ -302,12 +327,8 @@ func TestIncrementalMatchesFullUnderFaults(t *testing.T) {
 		UnresponsivePeriod:   6,
 	}
 
-	incCfg := DefaultConfig(2)
-	fullCfg := DefaultConfig(2)
-	fullCfg.NoIncremental = true
-
-	inc := newDiffSide(t, seed, incCfg)
-	full := newDiffSide(t, seed, fullCfg)
+	inc := newDiffSide(t, seed, DefaultConfig(2))
+	full := newRefSide(t, seed, DefaultConfig(2))
 	inc.net.SetFaults(newInjector(t, plan))
 	full.net.SetFaults(newInjector(t, plan))
 
@@ -315,8 +336,8 @@ func TestIncrementalMatchesFullUnderFaults(t *testing.T) {
 	for r := 0; r < rounds; r++ {
 		churnFaultStep(inc, r)
 		churnFaultStep(full, r)
-		ri := stripTiming(inc.opt.Round(inc.round))
-		rf := stripTiming(full.opt.Round(full.round))
+		ri := stripTiming(inc.step())
+		rf := stripTiming(full.step())
 		expired += ri.StaleExpired
 		if ri != rf {
 			t.Fatalf("round %d: reports diverged\nincremental: %+v\nfull:        %+v", r, ri, rf)

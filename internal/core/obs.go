@@ -14,8 +14,8 @@ var (
 	spanPhase3  = obs.NewSpan("ace.core.round.phase3")
 	spanRepair  = obs.NewSpan("ace.core.round.repair")
 
-	// How rebuilds resolved: full sweeps (first round, journal desync,
-	// NoIncremental) and incremental (dirty-region) rebuilds.
+	// How rebuilds resolved: full sweeps (first round, journal desync)
+	// and incremental (dirty-region) rebuilds.
 	cRebuildFull        = obs.NewCounter("ace.core.rebuild.full")
 	cRebuildIncremental = obs.NewCounter("ace.core.rebuild.incremental")
 	cPeersRebuilt       = obs.NewCounter("ace.core.rebuild.peers")
@@ -92,4 +92,7 @@ func flushRoundObs(report *StepReport) {
 	cFaultBlacklistHits.Add(uint64(report.BlacklistHits))
 	cFaultFailedDials.Add(uint64(report.FailedConnects))
 	cFaultPurged.Add(uint64(report.PurgedEdges))
+	if report.ShardImbalance > 0 {
+		hShardImbalance.Observe(uint64(report.ShardImbalance * 100))
+	}
 }

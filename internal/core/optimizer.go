@@ -93,7 +93,7 @@ type Optimizer struct {
 	// network or a crash leaves dangling edges behind.
 	roundNum   int              // protocol rounds seen, drives injector windows
 	staleFor   []int32          // consecutive cycles a peer went unprobed
-	excluded   []bool           // peers past StaleTTL, dropped from closures
+	excluded   []bool           // peers past staleTTL, dropped from closures
 	exclFlips  []overlay.PeerID // exclusion changes this round, for dirtyRegion
 	dangleBuf  []overlay.DanglingPair
 	dialFails  []uint8 // consecutive dial failures per peer
@@ -137,7 +137,7 @@ type StepReport struct {
 	KeptNew      int     // Figure-4(c) tentative connections
 	DeferredCuts int     // pending cuts executed this round
 	Abandoned    int     // Figure-4(c) experiments expired this round
-	Repairs      int     // bootstrap connections opened to hold MinDegree
+	Repairs      int     // bootstrap connections opened to hold minDegree
 	ProbeTraffic float64 // traffic cost of this round's probes
 	ExchangeCost float64 // traffic cost of this round's cost-table exchange
 
@@ -146,7 +146,7 @@ type StepReport struct {
 	ProbeRetries   int // Phase-1 probe retries after a timeout
 	ProbeTimeouts  int // probes (Phase 1 and 3) that got no answer
 	StaleMarked    int // peers whose cost entries newly went stale
-	StaleExpired   int // peers that crossed StaleTTL and were excluded
+	StaleExpired   int // peers that crossed staleTTL and were excluded
 	BlacklistHits  int // candidate picks refused by the dial blacklist
 	FailedConnects int // dials the fault plan failed
 	PurgedEdges    int // dangling half-open edges detected and purged
@@ -163,7 +163,7 @@ type StepReport struct {
 	// TestStepReportNanosAreWallClock.
 	RebuildNanos int64 // Phases 1–2: state sync + exchange pricing
 	Phase3Nanos  int64 // pending cuts + the per-peer replacement policy
-	RepairNanos  int64 // MinDegree repair
+	RepairNanos  int64 // minimum-degree repair
 
 	// Sharded-engine diagnostics; all zero when the serial engine ran
 	// the round (Config.Shards == 0). MergeNanos is the wall-clock of the
@@ -267,7 +267,7 @@ func (o *Optimizer) RebuildTrees() float64 {
 func (o *Optimizer) rebuild(peers []overlay.PeerID) {
 	o.lastRepair = repairTally{}
 	events, next, ok := o.net.EventsSince(o.cursor)
-	if o.synced && ok && !o.cfg.NoIncremental {
+	if o.synced && ok {
 		if len(events) == 0 && len(o.exclFlips) == 0 {
 			o.cursor = next
 			return
@@ -288,12 +288,6 @@ func (o *Optimizer) rebuild(peers []overlay.PeerID) {
 	o.net.CompactJournal(o.cursor)
 }
 
-// repairCtxFor returns the repair context for a dirty-region rebuild, or
-// nil when the repair path is off for this round: disabled by config,
-// meaningless under the sparse ablation (trees depend on overlay edges,
-// not just membership), or — per the fallback policy — whenever
-// staleness exclusions flipped, which perturbs closures in bulk; those
-// rounds take the existing dense construction for every dirty peer.
 // revIdle reports whether the reverse closure index has no possible
 // reader under this configuration, so its maintenance can be skipped
 // entirely. At h = 1 the only interior member of a closure is the peer
@@ -305,8 +299,14 @@ func (o *Optimizer) revIdle() bool {
 	return o.cfg.Depth == 1 && !o.cfg.SparseKnowledge
 }
 
+// repairCtxFor returns the repair context for a dirty-region rebuild, or
+// nil when the repair path is off for this round: meaningless under the
+// sparse ablation (trees depend on overlay edges, not just membership),
+// or — per the fallback policy — whenever staleness exclusions flipped,
+// which perturbs closures in bulk; those rounds take the existing dense
+// construction for every dirty peer.
 func (o *Optimizer) repairCtxFor() *repairCtx {
-	if o.cfg.NoRepair || o.cfg.SparseKnowledge || len(o.exclFlips) > 0 {
+	if o.cfg.SparseKnowledge || len(o.exclFlips) > 0 {
 		return nil
 	}
 	return &repairCtx{states: o.state, recycle: o.revIdle()}
@@ -583,59 +583,48 @@ func (o *Optimizer) exchangeCost(peers []overlay.PeerID) float64 {
 }
 
 // Round executes one full ACE step: Phases 1–2 (rebuild) followed by
-// Phase 3 (one replacement attempt per peer, per the configured policy).
-// The live-peer slice is computed once and threaded through the whole
-// round — rounds rewire edges but never change liveness.
+// Phase 3 (one replacement attempt per peer, per the configured policy)
+// and the minimum-degree repair. The live-peer slice is computed once
+// and threaded through the whole round — rounds rewire edges but never
+// change liveness.
 //
-// With Config.Shards != 0 the round runs on the sharded engine
-// (shard.go): Phase 3 splits into a parallel shard-local propose pass
-// against the frozen network and a serial cross-shard merge ordered by
-// seed-derived keys. Its outcome is a pure function of (state, seed) —
-// identical for every shard count — but not the same trajectory as this
-// serial engine, whose peers act on each other's mutations within the
-// round.
+// With Config.Shards != 0 Phase 3 runs on the sharded engine (shard.go):
+// a parallel shard-local propose pass against the frozen network and a
+// serial cross-shard merge ordered by seed-derived keys. Its outcome is
+// a pure function of (state, seed) — identical for every shard count —
+// but not the same trajectory as the serial engine, whose peers act on
+// each other's mutations within the round. The phase spans wrap each
+// phase end-to-end, outside any fan-out, so StepReport's nanos stay
+// wall-clock.
 func (o *Optimizer) Round(rng *sim.RNG) StepReport {
-	if s := o.shardCount(); s > 0 {
-		return o.roundSharded(rng, s)
-	}
 	// The obs spans are the single source of truth for phase timing:
 	// StepReport's nanos are each span's measured duration, and the same
 	// measurement lands in the registry histograms when observability is
 	// enabled.
+	s := o.shardCount()
 	sp := spanRebuild.Start()
 	peers := o.alivePeers()
-	report := StepReport{}
 	o.traceRoundBegin(len(peers))
 	tts := o.traceNow()
+	report := StepReport{Shards: s}
+	o.lastImbalance = 0
 	o.faultPhase(peers, &report)
 	o.rebuild(peers)
 	o.lastRepair.fill(&report)
 	cost := o.exchangeCost(peers)
 	o.totalOverhead += cost
 	report.ExchangeCost = cost
+	report.ShardImbalance = o.lastImbalance
 	report.RebuildNanos = sp.End()
 	o.tracePhase(tracer.PhaseRebuild, tts)
 
 	tts = o.traceNow()
 	sp = spanPhase3.Start()
 	o.executePendingCuts(&report)
-
-	for _, p := range peers {
-		if !o.net.Alive(p) {
-			continue // cut as a side effect earlier in this round
-		}
-		st := o.state[p]
-		if st == nil || len(st.NonFlooding) == 0 {
-			continue
-		}
-		switch o.cfg.Policy {
-		case PolicyRandom:
-			o.phase3Random(rng, p, st, &report)
-		case PolicyNaive:
-			o.phase3Naive(rng, p, st, &report)
-		case PolicyClosest:
-			o.phase3Closest(p, st, &report)
-		}
+	if s > 0 {
+		o.phase3Sharded(rng, peers, s, &report)
+	} else {
+		o.phase3Serial(rng, peers, &report)
 	}
 	report.Phase3Nanos = sp.End()
 	o.tracePhase(tracer.PhasePhase3, tts)
@@ -650,16 +639,42 @@ func (o *Optimizer) Round(rng *sim.RNG) StepReport {
 	return report
 }
 
+// phase3Serial is the serial engine's Phase 3: each live peer in turn
+// runs the configured policy in place, acting on the rewires of the
+// peers before it.
+func (o *Optimizer) phase3Serial(rng *sim.RNG, peers []overlay.PeerID, report *StepReport) {
+	for _, p := range peers {
+		if !o.net.Alive(p) {
+			continue // cut as a side effect earlier in this round
+		}
+		st := o.state[p]
+		if st == nil || len(st.NonFlooding) == 0 {
+			continue
+		}
+		switch o.cfg.Policy {
+		case PolicyRandom:
+			o.phase3Random(rng, p, st, report)
+		case PolicyNaive:
+			o.phase3Naive(rng, p, st, report)
+		case PolicyClosest:
+			o.phase3Closest(p, st, report)
+		}
+	}
+}
+
+// minDegree is the connection floor every client maintains (real
+// Gnutella clients keep a minimum number of connections open); a peer
+// below it opens fresh bootstrap connections each round, which is what
+// re-knits pairs severed by Phase-3 rewiring.
+const minDegree = 2
+
 // maintainMinDegree opens fresh bootstrap connections for peers that
 // fell below the client connection floor, re-knitting any fragments
 // Phase-3 rewiring severed. alive is the round's live-peer slice.
 func (o *Optimizer) maintainMinDegree(rng *sim.RNG, alive []overlay.PeerID, report *StepReport) {
-	if o.cfg.MinDegree < 1 {
-		return
-	}
 	for _, p := range alive {
-		if o.net.Degree(p) < o.cfg.MinDegree {
-			for attempts := 0; o.net.Degree(p) < o.cfg.MinDegree && attempts < 20; attempts++ {
+		if o.net.Degree(p) < minDegree {
+			for attempts := 0; o.net.Degree(p) < minDegree && attempts < 20; attempts++ {
 				q := alive[rng.Intn(len(alive))]
 				if o.atCap(q) {
 					continue // a saturated partner refuses the bootstrap dial
@@ -767,7 +782,7 @@ func (o *Optimizer) atCap(p overlay.PeerID) bool {
 func (o *Optimizer) probe(av overlay.CostView, a, h overlay.PeerID, report *StepReport) (float64, bool) {
 	report.Probes++
 	c := av.To(h)
-	report.ProbeTraffic += o.cfg.ProbeCost * c
+	report.ProbeTraffic += probeCost * c
 	if inj := o.net.Faults(); inj != nil && inj.ProbeTimeout(int(a), int(h), 0) {
 		report.ProbeTimeouts++
 		traceInstant(o.ring0(), o.tr.round, tracer.KindProbeTimeout, int32(h), int32(a), 0)

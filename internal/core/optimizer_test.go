@@ -23,7 +23,7 @@ func randomNet(t *testing.T, seed int64, physN, peers int, avgDeg float64) *over
 	if err != nil {
 		t.Fatal(err)
 	}
-	net, err := overlay.NewNetwork(physical.NewOracle(phys.Graph, 0), attach)
+	net, err := overlay.NewNetwork(physical.NewOracle(phys.Graph), attach)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -542,12 +542,7 @@ func TestMaxPendingCapsExperiments(t *testing.T) {
 
 func TestMinDegreeMaintenance(t *testing.T) {
 	net := randomNet(t, 71, 200, 100, 6)
-	cfg := DefaultConfig(1)
-	cfg.MinDegree = 3
-	o, err := NewOptimizer(net, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	o := newOpt(t, net, 1)
 	// Strip a peer down to zero links, then run a round: maintenance
 	// must reconnect it.
 	victim := net.AlivePeers()[0]
@@ -558,8 +553,8 @@ func TestMinDegreeMaintenance(t *testing.T) {
 	if rep.Repairs == 0 {
 		t.Fatal("no repairs reported")
 	}
-	if net.Degree(victim) < 3 {
-		t.Fatalf("victim degree %d below MinDegree 3", net.Degree(victim))
+	if net.Degree(victim) < minDegree {
+		t.Fatalf("victim degree %d below the minimum degree %d", net.Degree(victim), minDegree)
 	}
 }
 

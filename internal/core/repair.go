@@ -48,8 +48,8 @@ func (t repairTally) fill(r *StepReport) {
 
 // repairCtx enables the incremental tree-repair path for a rebuild pass:
 // states holds the previous round's PeerStates, read-only for the whole
-// fan-out. A nil ctx (full rebuilds, sparse ablation, NoRepair, or a
-// round with excluded-peer staleness flips) forces dense construction.
+// fan-out. A nil ctx (full rebuilds, sparse ablation, or a round with
+// excluded-peer staleness flips) forces dense construction.
 type repairCtx struct {
 	states []*PeerState
 	// recycle permits the shard worker to reclaim a replaced state's

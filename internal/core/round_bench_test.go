@@ -20,22 +20,40 @@ type benchSystem struct {
 	net   *overlay.Network
 	opt   *Optimizer
 	churn *sim.RNG
+	full  bool // every rebuild takes the full path (the `full` rows)
 }
 
 var benchSystems = map[string]*benchSystem{}
 
-func getBenchSystem(b *testing.B, nPeers, h int, noInc bool) *benchSystem {
+// round runs one Round; on a full fixture it first clears synced, the
+// journal desync that sends the rebuild down the full path.
+func (s *benchSystem) round(rng *sim.RNG) StepReport {
+	if s.full {
+		s.opt.synced = false
+	}
+	return s.opt.Round(rng)
+}
+
+// rebuildTrees is round's Phases 1–2 alone.
+func (s *benchSystem) rebuildTrees() {
+	if s.full {
+		s.opt.synced = false
+	}
+	s.opt.RebuildTrees()
+}
+
+func getBenchSystem(b *testing.B, nPeers, h int, full bool) *benchSystem {
 	b.Helper()
-	key := fmt.Sprintf("%d/%d/%v", nPeers, h, noInc)
+	key := fmt.Sprintf("%d/%d/%v", nPeers, h, full)
 	if s, ok := benchSystems[key]; ok {
 		return s
 	}
-	s := newBenchSystem(b, nPeers, h, noInc)
+	s := newBenchSystem(b, nPeers, h, full)
 	benchSystems[key] = s
 	return s
 }
 
-func newBenchSystem(b *testing.B, nPeers, h int, noInc bool) *benchSystem {
+func newBenchSystem(b *testing.B, nPeers, h int, full bool) *benchSystem {
 	b.Helper()
 	rng := sim.NewRNG(int64(nPeers) + 31)
 	phys, err := topology.GenerateBA(rng.Derive("phys"), topology.DefaultBASpec(nPeers))
@@ -46,7 +64,7 @@ func newBenchSystem(b *testing.B, nPeers, h int, noInc bool) *benchSystem {
 	if err != nil {
 		b.Fatal(err)
 	}
-	net, err := overlay.NewNetwork(physical.NewOracle(phys.Graph, 0), attach)
+	net, err := overlay.NewNetwork(physical.NewOracle(phys.Graph), attach)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -54,7 +72,6 @@ func newBenchSystem(b *testing.B, nPeers, h int, noInc bool) *benchSystem {
 		b.Fatal(err)
 	}
 	cfg := DefaultConfig(h)
-	cfg.NoIncremental = noInc
 	// Client connection ceiling at 4x the generated average degree, the
 	// ace.NewSystem scaling: without it, churned long runs pump degree
 	// into hubs whose quadratic closure rebuilds dominate both engines.
@@ -64,7 +81,7 @@ func newBenchSystem(b *testing.B, nPeers, h int, noInc bool) *benchSystem {
 		b.Fatal(err)
 	}
 	opt.RebuildTrees() // prime: fills the oracle cache and the state map
-	return &benchSystem{net: net, opt: opt, churn: rng.Derive("churn")}
+	return &benchSystem{net: net, opt: opt, churn: rng.Derive("churn"), full: full}
 }
 
 // getRoundBenchSystem is the BenchmarkRoundChurn fixture: a system driven
@@ -73,17 +90,17 @@ func newBenchSystem(b *testing.B, nPeers, h int, noInc bool) *benchSystem {
 // regime a long-lived overlay actually runs in, not the violent first
 // rounds of convergence (where every peer rewires and any engine
 // rightfully rebuilds everyone).
-func getRoundBenchSystem(b *testing.B, noInc bool) *benchSystem {
+func getRoundBenchSystem(b *testing.B, full bool) *benchSystem {
 	b.Helper()
-	key := fmt.Sprintf("round/%v", noInc)
+	key := fmt.Sprintf("round/%v", full)
 	if s, ok := benchSystems[key]; ok {
 		return s
 	}
-	s := newBenchSystem(b, 1000, 1, noInc)
+	s := newBenchSystem(b, 1000, 1, full)
 	rng := sim.NewRNG(7)
 	for i := 0; i < 200; i++ {
 		s.churnPeers(2)
-		s.opt.Round(rng)
+		s.round(rng)
 	}
 	benchSystems[key] = s
 	return s
@@ -136,7 +153,7 @@ func getShardBenchSystem(b *testing.B, nPeers, physN, shards, prime int) *benchS
 	for i := range attach {
 		attach[i] = arng.Intn(physN)
 	}
-	net, err := overlay.NewNetwork(physical.NewOracle(phys.Graph, 0), attach)
+	net, err := overlay.NewNetwork(physical.NewOracle(phys.Graph), attach)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -160,15 +177,15 @@ func getShardBenchSystem(b *testing.B, nPeers, physN, shards, prime int) *benchS
 	return s
 }
 
-func benchmarkRebuild(b *testing.B, nPeers, h, churn int, noInc bool) {
-	s := getBenchSystem(b, nPeers, h, noInc)
+func benchmarkRebuild(b *testing.B, nPeers, h, churn int, full bool) {
+	s := getBenchSystem(b, nPeers, h, full)
 	before := s.opt.RebuildStats()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		s.churnPeers(churn)
 		b.StartTimer()
-		s.opt.RebuildTrees()
+		s.rebuildTrees()
 	}
 	b.StopTimer()
 	st := s.opt.RebuildStats()
@@ -216,13 +233,13 @@ func BenchmarkRebuildTrees(b *testing.B) {
 // round's time (phase3 must read ~equal for both engines — the overlay
 // trajectories are identical).
 func BenchmarkRoundChurn(b *testing.B) {
-	for _, noInc := range []bool{false, true} {
+	for _, full := range []bool{false, true} {
 		name := "incremental"
-		if noInc {
+		if full {
 			name = "full"
 		}
 		b.Run(name, func(b *testing.B) {
-			s := getRoundBenchSystem(b, noInc)
+			s := getRoundBenchSystem(b, full)
 			benchmarkRounds(b, s, 2, false)
 		})
 	}
@@ -283,7 +300,7 @@ func benchmarkRounds(b *testing.B, s *benchSystem, churn int, uniform bool) {
 			s.churnPeers(churn)
 		}
 		b.StartTimer()
-		rep := s.opt.Round(rng)
+		rep := s.round(rng)
 		rebuildNs += rep.RebuildNanos
 		phase3Ns += rep.Phase3Nanos
 		repairNs += rep.RepairNanos

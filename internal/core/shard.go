@@ -313,7 +313,7 @@ func (o *Optimizer) buildStatesSharded(list []overlay.PeerID, s int, rc *repairC
 // (staleFor/excluded writes stay disjoint) and folding the shard
 // accumulators in shard order reproduces the serial sweep bit for bit
 // (see foldSweep).
-func (o *Optimizer) probeSweep(peers []overlay.PeerID, inj *fault.Injector, retries int, ttl int32, s int, report *StepReport) {
+func (o *Optimizer) probeSweep(peers []overlay.PeerID, inj *fault.Injector, s int, report *StepReport) {
 	shards := o.ensureShards(s)
 	spans := o.ownerSpans(peers, s)
 	for k, sh := range shards {
@@ -329,7 +329,7 @@ func (o *Optimizer) probeSweep(peers []overlay.PeerID, inj *fault.Injector, retr
 		}
 		ts := ringNow(sh.trace)
 		for _, b := range sub {
-			o.probeOneTarget(b, inj, retries, ttl, sh)
+			o.probeOneTarget(b, inj, sh)
 		}
 		traceShardSpan(rr, sh.trace, sh.traceRound, tracer.KindShardSweep, ts, ringNow(sh.trace), int32(len(sub)), 0)
 	})
@@ -364,51 +364,16 @@ func (o *Optimizer) scanPostingsSharded(dst *peerBitset, endpoints []overlay.Pee
 	}
 }
 
-// roundSharded is the sharded engine's Round. The phase structure — and
-// the phase spans, which wrap each fan-out end-to-end so StepReport's
-// nanos stay wall-clock — mirrors the serial engine; only Phase 3's
-// internals differ (propose/merge instead of in-place application).
-func (o *Optimizer) roundSharded(rng *sim.RNG, s int) StepReport {
-	sp := spanRebuild.Start()
-	peers := o.alivePeers()
-	o.traceRoundBegin(len(peers))
-	tts := o.traceNow()
-	report := StepReport{Shards: s}
-	o.lastImbalance = 0
-	o.faultPhase(peers, &report)
-	o.rebuild(peers)
-	o.lastRepair.fill(&report)
-	cost := o.exchangeCost(peers)
-	o.totalOverhead += cost
-	report.ExchangeCost = cost
-	report.ShardImbalance = o.lastImbalance
-	report.RebuildNanos = sp.End()
-	o.tracePhase(tracer.PhaseRebuild, tts)
-
-	tts = o.traceNow()
-	sp = spanPhase3.Start()
-	o.executePendingCuts(&report)
+// phase3Sharded is the sharded engine's Phase 3: the propose fan-out,
+// then the merge.
+func (o *Optimizer) phase3Sharded(rng *sim.RNG, peers []overlay.PeerID, s int, report *StepReport) {
 	// One serial draw seeds the whole sharded Phase 3; everything after
 	// derives per-peer streams and merge keys from it by pure hashing.
 	base := rng.Uint64()
-	shards := o.proposePhase3(peers, base, s, &report)
+	shards := o.proposePhase3(peers, base, s, report)
 	msp := spanShardMerge.Start()
-	o.mergeProposals(shards, &report)
+	o.mergeProposals(shards, report)
 	report.MergeNanos = msp.End()
-	report.Phase3Nanos = sp.End()
-	o.tracePhase(tracer.PhasePhase3, tts)
-
-	tts = o.traceNow()
-	sp = spanRepair.Start()
-	o.maintainMinDegree(rng, peers, &report)
-	report.RepairNanos = sp.End()
-	o.tracePhase(tracer.PhaseRepair, tts)
-	o.totalOverhead += report.ProbeTraffic
-	flushRoundObs(&report)
-	if obs.Enabled() && report.ShardImbalance > 0 {
-		hShardImbalance.Observe(uint64(report.ShardImbalance * 100))
-	}
-	return report
 }
 
 // proposePhase3 runs the parallel propose pass: each live peer selects
@@ -570,7 +535,7 @@ func foldRuns(bufs *[2][]proposal, shards []*shardState) []proposal {
 func (o *Optimizer) probePropose(av overlay.CostView, a, h overlay.PeerID, t *peerTally, sh *shardState) (float64, bool) {
 	t.probes++
 	c := av.To(h)
-	t.traffic += o.cfg.ProbeCost * c
+	t.traffic += probeCost * c
 	if inj := o.net.Faults(); inj != nil && inj.ProbeTimeout(int(a), int(h), 0) {
 		t.timeouts++
 		traceInstant(sh.trace, sh.traceRound, tracer.KindProbeTimeout, int32(h), int32(a), 0)

@@ -45,7 +45,7 @@ func restoreSide(t *testing.T, seed int64, cfg Config, plan *fault.Plan, from *d
 	if err != nil {
 		t.Fatal(err)
 	}
-	net, err := overlay.RestoreNetwork(physical.NewOracle(phys.Graph, 0), from.net.SnapshotState())
+	net, err := overlay.RestoreNetwork(physical.NewOracle(phys.Graph), from.net.SnapshotState())
 	if err != nil {
 		t.Fatal(err)
 	}

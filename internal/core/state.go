@@ -241,10 +241,29 @@ func (sc *buildScratch) visited(n int) (mark []uint32, posOf []int32) {
 	return sc.mark, sc.posOf
 }
 
+// The overhead calibration (EXPERIMENTS.md): the traffic cost of each
+// protocol message per unit of physical delay, relative to a query
+// message costing 1 per delay unit. The constants are typed: untyped
+// ones would fold probeCost + exchangeHeaderCost exactly at compile time
+// and move the last bit of the exchange-cost factor below.
+const (
+	// probeCost prices one delay-probe round trip.
+	probeCost float64 = 0.4
+	// exchangeHeaderCost prices the fixed part of one cost-table
+	// exchange message; one flows on every logical link each cycle
+	// regardless of depth.
+	exchangeHeaderCost float64 = 0.8
+	// tableEntryCost prices each cost-table entry an exchange message
+	// carries. Entries grow with the closure, so this term makes the
+	// overhead climb with h (Figure 12) while the header term keeps
+	// shallow depths from being free.
+	tableEntryCost float64 = 4e-6
+)
+
 // buildState runs Phases 1–2 for peer p against the current network,
 // assembling the flat PeerState through sc. sparse selects the ablation
 // reading (trees over the overlay subgraph only). excluded, when
-// non-nil, marks peers whose cost entries aged past StaleTTL — they are
+// non-nil, marks peers whose cost entries aged past staleTTL — they are
 // invisible to the closure BFS and the neighbor split, so the tree
 // degrades by shrinking around them instead of spanning entries nobody
 // refreshed (the peer itself is never excluded from its own view). It
@@ -650,7 +669,7 @@ func buildState(sc *buildScratch, net *overlay.Network, p overlay.PeerID, cfg *C
 	// proportional to the link delay. On the dense path every link delay
 	// comes from p's own vector, already fetched as vecs[0] — identical
 	// bits to a CostView read, without the per-peer oracle round trip.
-	factor := cfg.ProbeCost + cfg.ExchangeHeaderCost + cfg.TableEntryCost*float64(knownPairs)
+	factor := probeCost + exchangeHeaderCost + tableEntryCost*float64(knownPairs)
 	total := 0.0
 	if sparse {
 		cv := net.CostsFrom(p)

@@ -43,7 +43,7 @@ func buildExample(pos []int, edges [][2]int) (*overlay.Network, error) {
 	for i := 0; i < maxNode; i++ {
 		g.AddEdge(i, i+1, 1)
 	}
-	net, err := overlay.NewNetwork(physical.NewOracle(g, 0), pos)
+	net, err := overlay.NewNetwork(physical.NewOracle(g), pos)
 	if err != nil {
 		return nil, err
 	}

@@ -118,7 +118,7 @@ func BuildEnv(seed int64, sc Scale, c float64) (*Env, error) {
 	if err != nil {
 		return nil, err
 	}
-	oracle := physical.NewOracle(phys.Graph, 0)
+	oracle := physical.NewOracle(phys.Graph)
 	attach, err := overlay.RandomAttachments(rng.Derive("attach"), sc.PhysicalNodes, sc.Peers)
 	if err != nil {
 		return nil, err

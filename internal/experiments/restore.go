@@ -23,7 +23,7 @@ func RestoreEnv(seed int64, sc Scale, st *overlay.NetState) (*Env, error) {
 	if err != nil {
 		return nil, err
 	}
-	oracle := physical.NewOracle(phys.Graph, 0)
+	oracle := physical.NewOracle(phys.Graph)
 	net, err := overlay.RestoreNetwork(oracle, st)
 	if err != nil {
 		return nil, err

@@ -41,7 +41,7 @@ func Robustness(sc Scale, c, steps int) (*RobustnessResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	oracle := physical.NewOracle(phys.Graph, 0)
+	oracle := physical.NewOracle(phys.Graph)
 	attach, err := overlay.RandomAttachments(rng.Derive("ts-attach"), phys.Graph.N(), sc.Peers)
 	if err != nil {
 		return nil, err

@@ -47,7 +47,7 @@ func TwoTier(sc Scale, c, steps int) (*TwoTierResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	oracle := physical.NewOracle(phys.Graph, 0)
+	oracle := physical.NewOracle(phys.Graph)
 	for _, policy := range []supernode.AssignPolicy{supernode.AssignRandom, supernode.AssignNearest} {
 		// The supernode tier is derived independently of the assignment
 		// policy so both grid rows flood the identical overlay and only

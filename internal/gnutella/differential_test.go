@@ -338,7 +338,7 @@ func randomBenchNet(t *testing.T, seed int64, physN, peers, deg int) *overlay.Ne
 	if err != nil {
 		t.Fatal(err)
 	}
-	net, err := overlay.NewNetwork(physical.NewOracle(phys.Graph, 0), attach)
+	net, err := overlay.NewNetwork(physical.NewOracle(phys.Graph), attach)
 	if err != nil {
 		t.Fatal(err)
 	}

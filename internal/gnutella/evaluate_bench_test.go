@@ -20,7 +20,7 @@ func benchNet(b *testing.B, nPeers, h int) (*overlay.Network, *core.Optimizer) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	oracle := physical.NewOracle(phys.Graph, 0)
+	oracle := physical.NewOracle(phys.Graph)
 	attach, err := overlay.RandomAttachments(rng.Derive("attach"), 3*nPeers, nPeers)
 	if err != nil {
 		b.Fatal(err)

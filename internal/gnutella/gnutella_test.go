@@ -26,7 +26,7 @@ func lineNet(t *testing.T, attach []int) *overlay.Network {
 	for i := 0; i < maxNode; i++ {
 		g.AddEdge(i, i+1, 1)
 	}
-	net, err := overlay.NewNetwork(physical.NewOracle(g, 0), attach)
+	net, err := overlay.NewNetwork(physical.NewOracle(g), attach)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func buildACENet(t *testing.T, seed int64, peers int, avgDeg float64, h, rounds 
 	if err != nil {
 		t.Fatal(err)
 	}
-	net, err := overlay.NewNetwork(physical.NewOracle(phys.Graph, 0), attach)
+	net, err := overlay.NewNetwork(physical.NewOracle(phys.Graph), attach)
 	if err != nil {
 		t.Fatal(err)
 	}

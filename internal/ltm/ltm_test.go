@@ -22,7 +22,7 @@ func lineNet(t *testing.T, attach []int) *overlay.Network {
 	for i := 0; i < maxNode; i++ {
 		g.AddEdge(i, i+1, 1)
 	}
-	net, err := overlay.NewNetwork(physical.NewOracle(g, 0), attach)
+	net, err := overlay.NewNetwork(physical.NewOracle(g), attach)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestRoundImprovesFloodingCost(t *testing.T) {
 		t.Fatal(err)
 	}
 	attach, _ := overlay.RandomAttachments(rng.Derive("at"), 600, 250)
-	net, _ := overlay.NewNetwork(physical.NewOracle(phys.Graph, 0), attach)
+	net, _ := overlay.NewNetwork(physical.NewOracle(phys.Graph), attach)
 	if err := overlay.GenerateSmallWorld(rng.Derive("gen"), net, 8, 0.6); err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestRoundDeterministic(t *testing.T) {
 		rng := sim.NewRNG(51)
 		phys, _ := topology.GenerateBA(rng.Derive("phys"), topology.DefaultBASpec(300))
 		attach, _ := overlay.RandomAttachments(rng.Derive("at"), 300, 120)
-		net, _ := overlay.NewNetwork(physical.NewOracle(phys.Graph, 0), attach)
+		net, _ := overlay.NewNetwork(physical.NewOracle(phys.Graph), attach)
 		_ = overlay.GenerateSmallWorld(rng.Derive("gen"), net, 6, 0.6)
 		o, _ := NewOptimizer(net, DefaultConfig())
 		optRNG := sim.NewRNG(52)

@@ -13,18 +13,19 @@ import (
 // Chrome trace file and arms a cooldown so one incident produces one
 // dump, not one per round.
 //
-// Triggers (each disabled by zeroing its config field):
+// Triggers:
 //
 //   - success-rate drop: the round's query success rate fell more than
-//     SuccessDrop below the trailing mean;
-//   - counter spikes (merge serial fallbacks, repair fallbacks, probe
-//     timeouts): the value is at least SpikeMin AND more than
-//     SpikeFactor times the trailing mean;
-//   - round wall time: more than WallFactor times the trailing mean.
+//     flightSuccessDrop below the trailing mean;
+//   - counter spikes (repair fallbacks, probe timeouts): the value is at
+//     least flightSpikeMin AND more than flightSpikeFactor times the
+//     trailing mean;
+//   - round wall time: more than flightWallFactor times the trailing
+//     mean.
 //
-// Trailing means cover the last Window rounds and triggers stay
-// disarmed until MinRounds baselines exist, so startup transients do
-// not dump.
+// Trailing means cover the last flightWindow rounds and triggers stay
+// disarmed until flightMinRounds baselines exist, so startup transients
+// do not dump.
 type FlightRecorder struct {
 	t   *Tracer
 	cfg FlightConfig
@@ -35,19 +36,21 @@ type FlightRecorder struct {
 	err      error // first dump-write failure, sticky
 }
 
-// FlightConfig tunes the flight recorder. Zero values select defaults
-// (negative SuccessDrop / SpikeFactor / WallFactor disable that
-// trigger).
+// The flight recorder's thresholds.
+const (
+	flightWindow      = 8    // rounds retained for baselines and dumps
+	flightMinRounds   = 3    // baseline rounds before triggers arm
+	flightSuccessDrop = 0.15 // absolute success-rate drop vs trailing mean
+	flightSpikeFactor = 3    // counter spike = value > factor × trailing mean
+	flightSpikeMin    = 8    // counter spike floor, absolute
+	flightWallFactor  = 4    // wall-time spike multiplier
+	flightMaxDumps    = 4    // cap on dump files per run
+)
+
+// FlightConfig says where the flight recorder writes its dumps.
 type FlightConfig struct {
-	Window      int     // rounds retained for baselines and dumps (default 8)
-	MinRounds   int     // baseline rounds before triggers arm (default 3)
-	SuccessDrop float64 // absolute success-rate drop vs trailing mean (default 0.15)
-	SpikeFactor float64 // counter spike = value > factor × trailing mean (default 3)
-	SpikeMin    int     // counter spike floor, absolute (default 8)
-	WallFactor  float64 // wall-time spike multiplier (default 4)
-	Dir         string  // dump directory (default ".")
-	Prefix      string  // dump filename prefix (default "flight")
-	MaxDumps    int     // cap on dump files per run (default 4)
+	Dir    string // dump directory (default: the working directory)
+	Prefix string // dump filename prefix (default "flight")
 }
 
 // RoundStats is the driver-side per-round summary the recorder watches.
@@ -61,47 +64,19 @@ type RoundStats struct {
 	ProbeTimeouts   int
 }
 
-func (c *FlightConfig) defaults() {
-	if c.Window == 0 {
-		c.Window = 8
-	}
-	if c.MinRounds == 0 {
-		c.MinRounds = 3
-	}
-	if c.SuccessDrop == 0 {
-		c.SuccessDrop = 0.15
-	}
-	if c.SpikeFactor == 0 {
-		c.SpikeFactor = 3
-	}
-	if c.SpikeMin == 0 {
-		c.SpikeMin = 8
-	}
-	if c.WallFactor == 0 {
-		c.WallFactor = 4
-	}
-	if c.Dir == "" {
-		c.Dir = "."
-	}
-	if c.Prefix == "" {
-		c.Prefix = "flight"
-	}
-	if c.MaxDumps == 0 {
-		c.MaxDumps = 4
-	}
-}
-
 // NewFlightRecorder attaches a recorder to t. The tracer must already
 // be enabled (typically with FlightCapacity rings).
 func NewFlightRecorder(t *Tracer, cfg FlightConfig) *FlightRecorder {
-	cfg.defaults()
+	if cfg.Prefix == "" {
+		cfg.Prefix = "flight"
+	}
 	return &FlightRecorder{t: t, cfg: cfg}
 }
 
 // mean returns the trailing mean of one stat over the recorder's window
 // via the extractor f, and whether enough baselines exist.
 func (f *FlightRecorder) mean(get func(RoundStats) float64) (float64, bool) {
-	if len(f.hist) < f.cfg.MinRounds {
+	if len(f.hist) < flightMinRounds {
 		return 0, false
 	}
 	sum, n := 0.0, 0
@@ -121,11 +96,11 @@ func (f *FlightRecorder) mean(get func(RoundStats) float64) (float64, bool) {
 
 // spiked reports whether v is a spike over the trailing mean of get.
 func (f *FlightRecorder) spiked(v int, get func(RoundStats) float64) bool {
-	if f.cfg.SpikeFactor < 0 || v < f.cfg.SpikeMin {
+	if v < flightSpikeMin {
 		return false
 	}
 	m, ok := f.mean(get)
-	return ok && float64(v) > f.cfg.SpikeFactor*m
+	return ok && float64(v) > flightSpikeFactor*m
 }
 
 // Note feeds one completed round. When a trigger fires it dumps the
@@ -137,25 +112,25 @@ func (f *FlightRecorder) Note(st RoundStats) (path, trigger string, fired bool) 
 	// anomaly that persists becomes the new normal instead of dumping
 	// every round after the cooldown.
 	f.hist = append(f.hist, st)
-	if len(f.hist) > f.cfg.Window {
+	if len(f.hist) > flightWindow {
 		f.hist = f.hist[1:]
 	}
-	if trigger == "" || st.Round <= f.cooldown || f.dumps >= f.cfg.MaxDumps {
+	if trigger == "" || st.Round <= f.cooldown || f.dumps >= flightMaxDumps {
 		return "", trigger, false
 	}
 	path, err := f.dump(st.Round, trigger)
 	if err != nil {
 		return "", trigger, false
 	}
-	f.cooldown = st.Round + int32(f.cfg.Window)
+	f.cooldown = st.Round + flightWindow
 	f.dumps++
 	return path, trigger, true
 }
 
 // trigger names the first firing trigger, or "".
 func (f *FlightRecorder) trigger(st RoundStats) string {
-	if f.cfg.SuccessDrop >= 0 && st.SuccessRate >= 0 {
-		if m, ok := f.mean(func(s RoundStats) float64 { return s.SuccessRate }); ok && m-st.SuccessRate > f.cfg.SuccessDrop {
+	if st.SuccessRate >= 0 {
+		if m, ok := f.mean(func(s RoundStats) float64 { return s.SuccessRate }); ok && m-st.SuccessRate > flightSuccessDrop {
 			return "success-drop"
 		}
 	}
@@ -165,20 +140,18 @@ func (f *FlightRecorder) trigger(st RoundStats) string {
 	if f.spiked(st.ProbeTimeouts, func(s RoundStats) float64 { return float64(s.ProbeTimeouts) }) {
 		return "probe-timeout-spike"
 	}
-	if f.cfg.WallFactor >= 0 && st.WallNanos > 0 {
-		if m, ok := f.mean(func(s RoundStats) float64 { return float64(s.WallNanos) }); ok && m > 0 && float64(st.WallNanos) > f.cfg.WallFactor*m {
+	if st.WallNanos > 0 {
+		if m, ok := f.mean(func(s RoundStats) float64 { return float64(s.WallNanos) }); ok && m > 0 && float64(st.WallNanos) > flightWallFactor*m {
 			return "wall-time"
 		}
 	}
 	return ""
 }
 
-// dump writes the last-Window-rounds capture to a Chrome trace file.
+// dump writes the last-flightWindow-rounds capture to a Chrome trace
+// file.
 func (f *FlightRecorder) dump(round int32, trigger string) (string, error) {
-	minRound := round - int32(f.cfg.Window) + 1
-	if minRound < 0 {
-		minRound = 0
-	}
+	minRound := max(round-flightWindow+1, 0)
 	path := filepath.Join(f.cfg.Dir, fmt.Sprintf("%s-round%d-%s.json", f.cfg.Prefix, round, trigger))
 	out, err := os.Create(path)
 	if err != nil {

@@ -57,7 +57,7 @@ const (
 	KindProbeRetry   // instant; A = prober, B = target, V = attempt number
 	KindProbeTimeout // instant; A = target nobody reached this cycle
 	KindStaleServe   // instant; A = target, V = staleness age (last-known-good served)
-	KindStaleExpire  // instant; A = target crossed StaleTTL, excluded
+	KindStaleExpire  // instant; A = target crossed the stale TTL, excluded
 	KindStaleReadmit // instant; A = target readmitted after a successful probe
 	KindConnect      // instant; A = dialer, B = target (dial succeeded)
 	KindConnectFail  // instant; A = dialer, B = target (injector failed the dial)

@@ -230,11 +230,7 @@ func TestFlightRecorderTriggers(t *testing.T) {
 	dir := t.TempDir()
 	tr := newTestTracer(256)
 	r := tr.NewRing("w")
-	fr := NewFlightRecorder(tr, FlightConfig{
-		Window: 4, MinRounds: 3, SuccessDrop: 0.15,
-		SpikeFactor: 3, SpikeMin: 8, WallFactor: 4,
-		Dir: dir, Prefix: "fr",
-	})
+	fr := NewFlightRecorder(tr, FlightConfig{Dir: dir, Prefix: "fr"})
 
 	feed := func(st RoundStats) (string, string, bool) {
 		st.Round = tr.BeginRound()
@@ -250,7 +246,7 @@ func TestFlightRecorderTriggers(t *testing.T) {
 		}
 	}
 
-	// Repair-fallback spike: 20 > 3 × mean(≈1) and ≥ SpikeMin.
+	// Repair-fallback spike: 20 > 3 × mean(≈1) and ≥ flightSpikeMin.
 	spike := healthy
 	spike.RepairFallbacks = 20
 	path, trig, fired := feed(spike)
@@ -279,7 +275,7 @@ func TestFlightRecorderTriggers(t *testing.T) {
 	}
 
 	// Success-rate drop on a fresh recorder (the spike polluted baselines).
-	fr2 := NewFlightRecorder(tr, FlightConfig{Window: 4, MinRounds: 3, Dir: dir, Prefix: "fr2"})
+	fr2 := NewFlightRecorder(tr, FlightConfig{Dir: dir, Prefix: "fr2"})
 	for i := 0; i < 3; i++ {
 		fr2.Note(RoundStats{Round: tr.BeginRound(), WallNanos: 1e6, SuccessRate: 0.9})
 	}

@@ -22,7 +22,7 @@ func smallWorldFixture(t *testing.T, nPeers, c int, triad float64) *Network {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net, err := NewNetwork(physical.NewOracle(phys.Graph, 0), attach)
+	net, err := NewNetwork(physical.NewOracle(phys.Graph), attach)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,7 +22,7 @@ func testNet(t *testing.T, nPeers int) *Network {
 	for i := range attach {
 		attach[i] = i
 	}
-	net, err := NewNetwork(physical.NewOracle(g, 0), attach)
+	net, err := NewNetwork(physical.NewOracle(g), attach)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func allAlive(rng *sim.RNG, net *Network) {
 func TestNewNetworkValidation(t *testing.T) {
 	g := graph.New(2)
 	g.AddEdge(0, 1, 1)
-	if _, err := NewNetwork(physical.NewOracle(g, 0), []int{0, 5}); err == nil {
+	if _, err := NewNetwork(physical.NewOracle(g), []int{0, 5}); err == nil {
 		t.Fatal("out-of-range attachment accepted")
 	}
 }
@@ -276,13 +276,13 @@ func TestGenerateRandomDegreeAndConnectivity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net, err := NewNetwork(physical.NewOracle(phys.Graph, 0), attach)
+	net, err := NewNetwork(physical.NewOracle(phys.Graph), attach)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, c := range []float64{4, 6, 8, 10} {
 		// Reset: rebuild network each time.
-		net, _ = NewNetwork(physical.NewOracle(phys.Graph, 0), attach)
+		net, _ = NewNetwork(physical.NewOracle(phys.Graph), attach)
 		if err := GenerateRandom(rng.Derive("gen"), net, c); err != nil {
 			t.Fatal(err)
 		}

@@ -4,12 +4,12 @@
 //
 // The oracle runs one single-source shortest-path sweep per queried
 // source node and caches the resulting distance vector (float32, ~4 bytes
-// per physical node), optionally bounded. The sweep is graph.CSR.SSSP, a
-// bucketed kernel over a CSR copy of the physical graph frozen in
-// NewOracle; its float64 distances are bit-identical to graph.Dijkstra's,
-// so every cached vector is too. Static experiments query the same few
-// thousand attachment points repeatedly, so the cache converges to one
-// vector per live peer.
+// per physical node) for the oracle's lifetime. The sweep is
+// graph.CSR.SSSP, a bucketed kernel over a CSR copy of the physical graph
+// frozen in NewOracle; its float64 distances are bit-identical to
+// graph.Dijkstra's, so every cached vector is too. Static experiments
+// query the same few thousand attachment points repeatedly, so the cache
+// converges to one vector per live peer.
 package physical
 
 import (
@@ -24,22 +24,13 @@ import (
 )
 
 // Oracle answers physical-delay queries between physical node indices.
-// It is safe for concurrent use: lookups take only the read lock and the
-// activity counters are atomic, so parallel readers (the optimizer's
-// rebuild workers) never serialize on the mutex once the cache is warm.
+// It is safe for concurrent use and takes no lock: each source node has
+// one slot, published once with CompareAndSwap and never replaced, so
+// the query hot loops and the optimizer's rebuild workers read a vector
+// with one atomic load.
 type Oracle struct {
-	g   *graph.Graph
-	csr *graph.CSR // g frozen for the vector fills
-	cap int        // max cached vectors; 0 = unbounded
-
-	mu    sync.RWMutex
-	cache map[int][]float32
-	order []int // insertion order for FIFO eviction
-
-	// flat mirrors cache as lock-free per-source slots when the cache is
-	// unbounded (no eviction ever invalidates an entry), so the query
-	// hot loops read a vector with one atomic load instead of taking the
-	// read lock per delay lookup.
+	g    *graph.Graph
+	csr  *graph.CSR // g frozen for the vector fills
 	flat []atomic.Pointer[[]float32]
 
 	// scratch pools SSSPScratch instances across concurrent vector
@@ -50,12 +41,11 @@ type Oracle struct {
 
 	// Activity counters live in the obs registry (ace.physical.*) as
 	// always-on per-instance counters: an unconditional atomic add costs
-	// exactly what the former bespoke atomics did, Stats() keeps its seed
-	// semantics with observability off, and Snapshot aggregates across
-	// oracle instances under the shared names.
+	// exactly what bespoke atomics would, Stats() keeps its meaning with
+	// observability off, and Snapshot aggregates across oracle instances
+	// under the shared names.
 	queries   *obs.Counter
 	dijkstras *obs.Counter
-	evictions *obs.Counter
 }
 
 // Stats is a snapshot of oracle activity counters, for overhead reporting
@@ -64,7 +54,6 @@ type Oracle struct {
 type Stats struct {
 	Queries   uint64
 	Dijkstras uint64
-	Evictions uint64
 }
 
 // HitRatio reports the fraction of delay queries answered from a cached
@@ -76,20 +65,15 @@ func (s Stats) HitRatio() float64 {
 	return 1 - float64(s.Dijkstras)/float64(s.Queries)
 }
 
-// NewOracle returns an oracle over the physical graph g. cacheCap bounds
-// the number of cached source vectors (0 means unbounded). The vector
-// fills run over a copy of g frozen here, so g must not change afterwards.
-func NewOracle(g *graph.Graph, cacheCap int) *Oracle {
-	o := &Oracle{
-		g: g, csr: graph.NewCSR(g), cap: cacheCap, cache: make(map[int][]float32),
+// NewOracle returns an oracle over the physical graph g. The vector
+// fills run over a copy of g frozen here, so g must not change
+// afterwards.
+func NewOracle(g *graph.Graph) *Oracle {
+	return &Oracle{
+		g: g, csr: graph.NewCSR(g), flat: make([]atomic.Pointer[[]float32], g.N()),
 		queries:   obs.NewAlwaysCounter("ace.physical.queries"),
 		dijkstras: obs.NewAlwaysCounter("ace.physical.dijkstras"),
-		evictions: obs.NewAlwaysCounter("ace.physical.evictions"),
 	}
-	if cacheCap == 0 {
-		o.flat = make([]atomic.Pointer[[]float32], g.N())
-	}
-	return o
 }
 
 // N reports the number of physical nodes.
@@ -106,38 +90,19 @@ func (o *Oracle) Delay(u, v int) float64 {
 		return 0
 	}
 	o.queries.Inc()
-	// The lock-free mirror answers with the same direction preference as
-	// the locked path (u's vector, else v's, else compute u's), so the
-	// returned values are identical bit for bit either way.
-	if o.flat != nil {
-		if p := o.flat[u].Load(); p != nil {
-			return float64((*p)[v])
-		}
-		if p := o.flat[v].Load(); p != nil {
-			return float64((*p)[u])
-		}
-		return float64(o.vector(u)[v])
+	if p := o.flat[u].Load(); p != nil {
+		return float64((*p)[v])
 	}
-	o.mu.RLock()
-	vecU, okU := o.cache[u]
-	var vecV []float32
-	okV := false
-	if !okU {
-		vecV, okV = o.cache[v]
+	if p := o.flat[v].Load(); p != nil {
+		return float64((*p)[u])
 	}
-	o.mu.RUnlock()
-	if okU {
-		return float64(vecU[v])
-	}
-	if okV {
-		return float64(vecV[u])
-	}
-	vec := o.vector(u)
-	return float64(vec[v])
+	return float64(o.vector(u)[v])
 }
 
 // vector returns the cached distance vector for src, computing and
-// inserting it if absent.
+// publishing it if absent. Racing fills of one source each compute a
+// vector, but only the first CompareAndSwap publishes; the losers
+// return the winner's vector, and only the winner counts a fill.
 func (o *Oracle) vector(src int) []float32 {
 	s, _ := o.scratch.Get().(*graph.SSSPScratch)
 	if s == nil {
@@ -149,23 +114,10 @@ func (o *Oracle) vector(src int) []float32 {
 		vec[i] = float32(d)
 	}
 	o.scratch.Put(s)
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if existing, ok := o.cache[src]; ok {
-		return existing // another goroutine raced us; keep theirs
+	if !o.flat[src].CompareAndSwap(nil, &vec) {
+		return *o.flat[src].Load()
 	}
 	o.dijkstras.Inc()
-	if o.cap > 0 && len(o.cache) >= o.cap {
-		victim := o.order[0]
-		o.order = o.order[1:]
-		delete(o.cache, victim)
-		o.evictions.Inc()
-	}
-	o.cache[src] = vec
-	o.order = append(o.order, src)
-	if o.flat != nil {
-		o.flat[src].Store(&vec)
-	}
 	return vec
 }
 
@@ -177,11 +129,7 @@ func (o *Oracle) Warm(sources []int, workers int) {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	par.Run(workers, len(sources), func(_, i int) {
-		src := sources[i]
-		o.mu.RLock()
-		_, ok := o.cache[src]
-		o.mu.RUnlock()
-		if !ok {
+		if src := sources[i]; o.flat[src].Load() == nil {
 			o.vector(src)
 		}
 	})
@@ -190,22 +138,13 @@ func (o *Oracle) Warm(sources []int, workers int) {
 // Vector returns the full distance vector from src (computing and
 // caching it if absent). The returned slice is shared with the cache and
 // MUST be treated as read-only; it lets hot loops (dense MST over a
-// closure) index distances directly instead of paying the lock per pair.
+// closure) index distances directly instead of paying a lookup per pair.
 func (o *Oracle) Vector(src int) []float32 {
 	if src < 0 || src >= o.g.N() {
 		panic(fmt.Sprintf("physical: vector source %d out of range [0,%d)", src, o.g.N()))
 	}
-	if o.flat != nil {
-		if p := o.flat[src].Load(); p != nil {
-			return *p
-		}
-		return o.vector(src)
-	}
-	o.mu.RLock()
-	vec, ok := o.cache[src]
-	o.mu.RUnlock()
-	if ok {
-		return vec
+	if p := o.flat[src].Load(); p != nil {
+		return *p
 	}
 	return o.vector(src)
 }
@@ -219,16 +158,10 @@ func (o *Oracle) VectorCached(src int) ([]float32, bool) {
 	if src < 0 || src >= o.g.N() {
 		return nil, false
 	}
-	if o.flat != nil {
-		if p := o.flat[src].Load(); p != nil {
-			return *p, true
-		}
-		return nil, false
+	if p := o.flat[src].Load(); p != nil {
+		return *p, true
 	}
-	o.mu.RLock()
-	vec, ok := o.cache[src]
-	o.mu.RUnlock()
-	return vec, ok
+	return nil, false
 }
 
 // Path returns the physical node sequence of the shortest path u→v,
@@ -240,16 +173,9 @@ func (o *Oracle) Path(u, v int) []int {
 
 // Stats returns a snapshot of activity counters.
 func (o *Oracle) Stats() Stats {
-	return Stats{
-		Queries:   o.queries.Value(),
-		Dijkstras: o.dijkstras.Value(),
-		Evictions: o.evictions.Value(),
-	}
+	return Stats{Queries: o.queries.Value(), Dijkstras: o.dijkstras.Value()}
 }
 
-// CacheSize reports the number of cached source vectors.
-func (o *Oracle) CacheSize() int {
-	o.mu.RLock()
-	defer o.mu.RUnlock()
-	return len(o.cache)
-}
+// CacheSize reports the number of cached source vectors: every counted
+// fill published one, and none is ever evicted.
+func (o *Oracle) CacheSize() int { return int(o.dijkstras.Value()) }

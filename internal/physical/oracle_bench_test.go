@@ -23,7 +23,7 @@ func benchGraph() *graph.Graph {
 // BenchmarkDelayWarmSerial is the single-goroutine baseline for warmed
 // cache hits.
 func BenchmarkDelayWarmSerial(b *testing.B) {
-	o := NewOracle(benchGraph(), 0)
+	o := NewOracle(benchGraph())
 	sources := make([]int, 512)
 	for i := range sources {
 		sources[i] = i * 4
@@ -36,11 +36,11 @@ func BenchmarkDelayWarmSerial(b *testing.B) {
 }
 
 // BenchmarkDelayWarmParallel drives concurrent Delay lookups against a
-// warmed cache — the rebuild workers' access pattern. With the RLock fast
-// path and atomic counters, throughput should scale with readers instead
-// of serializing on the mutex.
+// warmed cache — the rebuild workers' access pattern. A lookup is an
+// atomic load of the source's slot plus an atomic counter add, so
+// throughput should scale with readers.
 func BenchmarkDelayWarmParallel(b *testing.B) {
-	o := NewOracle(benchGraph(), 0)
+	o := NewOracle(benchGraph())
 	sources := make([]int, 512)
 	for i := range sources {
 		sources[i] = i * 4
@@ -74,7 +74,7 @@ func BenchmarkOracleFill(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		o := NewOracle(phys.Graph, 0)
+		o := NewOracle(phys.Graph)
 		o.Warm(sources, 0)
 		if o.CacheSize() != len(sources) {
 			b.Fatalf("filled %d vectors, want %d", o.CacheSize(), len(sources))

@@ -20,7 +20,7 @@ func lineGraph() *graph.Graph {
 }
 
 func TestDelayBasics(t *testing.T) {
-	o := NewOracle(lineGraph(), 0)
+	o := NewOracle(lineGraph())
 	if d := o.Delay(0, 4); d != 10 {
 		t.Fatalf("Delay(0,4) = %v, want 10", d)
 	}
@@ -33,7 +33,7 @@ func TestDelayBasics(t *testing.T) {
 }
 
 func TestDelayUsesReverseCache(t *testing.T) {
-	o := NewOracle(lineGraph(), 0)
+	o := NewOracle(lineGraph())
 	o.Delay(0, 4) // caches vector for 0
 	o.Delay(4, 0) // should hit 0's vector, not run Dijkstra from 4
 	st := o.Stats()
@@ -56,7 +56,7 @@ func TestDelayUsesReverseCache(t *testing.T) {
 func TestDelayDisconnected(t *testing.T) {
 	g := graph.New(3)
 	g.AddEdge(0, 1, 1)
-	o := NewOracle(g, 0)
+	o := NewOracle(g)
 	if d := o.Delay(0, 2); !math.IsInf(d, 1) {
 		t.Fatalf("Delay to disconnected node = %v, want +Inf", d)
 	}
@@ -68,24 +68,7 @@ func TestDelayPanicsOutOfRange(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	NewOracle(lineGraph(), 0).Delay(0, 99)
-}
-
-func TestCacheEviction(t *testing.T) {
-	o := NewOracle(lineGraph(), 2)
-	o.Delay(0, 1)
-	o.Delay(1, 3) // cache miss for both 1 and 3? only src 1 cached
-	o.Delay(2, 4)
-	if o.CacheSize() > 2 {
-		t.Fatalf("cache size %d exceeds cap 2", o.CacheSize())
-	}
-	if o.Stats().Evictions == 0 {
-		t.Fatal("expected at least one eviction")
-	}
-	// Evicted entries must still answer correctly.
-	if d := o.Delay(0, 4); d != 10 {
-		t.Fatalf("post-eviction Delay = %v, want 10", d)
-	}
+	NewOracle(lineGraph()).Delay(0, 99)
 }
 
 func TestWarmAndConcurrency(t *testing.T) {
@@ -94,7 +77,7 @@ func TestWarmAndConcurrency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o := NewOracle(phys.Graph, 0)
+	o := NewOracle(phys.Graph)
 	srcs := make([]int, 100)
 	for i := range srcs {
 		srcs[i] = i
@@ -104,7 +87,7 @@ func TestWarmAndConcurrency(t *testing.T) {
 		t.Fatalf("Warm cached %d vectors, want 100", o.CacheSize())
 	}
 	// Concurrent queries agree with a fresh oracle's serial answers.
-	ref := NewOracle(phys.Graph, 0)
+	ref := NewOracle(phys.Graph)
 	var wg sync.WaitGroup
 	errs := make(chan string, 100)
 	for i := 0; i < 100; i++ {
@@ -126,7 +109,7 @@ func TestWarmAndConcurrency(t *testing.T) {
 }
 
 func TestWarmEmpty(t *testing.T) {
-	o := NewOracle(lineGraph(), 0)
+	o := NewOracle(lineGraph())
 	o.Warm(nil, 4) // must not hang or panic
 	if o.CacheSize() != 0 {
 		t.Fatal("Warm(nil) should cache nothing")
@@ -134,7 +117,7 @@ func TestWarmEmpty(t *testing.T) {
 }
 
 func TestPath(t *testing.T) {
-	o := NewOracle(lineGraph(), 0)
+	o := NewOracle(lineGraph())
 	p := o.Path(0, 3)
 	want := []int{0, 1, 2, 3}
 	if len(p) != len(want) {
@@ -153,7 +136,7 @@ func TestTriangleInequalityProperty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o := NewOracle(phys.Graph, 0)
+	o := NewOracle(phys.Graph)
 	for trial := 0; trial < 500; trial++ {
 		a, b, c := rng.Intn(200), rng.Intn(200), rng.Intn(200)
 		ab, bc, ac := o.Delay(a, b), o.Delay(b, c), o.Delay(a, c)
@@ -165,8 +148,8 @@ func TestTriangleInequalityProperty(t *testing.T) {
 
 // TestVectorsMatchDijkstra: every vector the oracle fills — by several
 // Warm workers sharing the frozen graph and the scratch pool, and
-// lazily through a bounded cache — is float32 of graph.Dijkstra's
-// distances, bit for bit.
+// lazily on a cold oracle's first Vector call — is float32 of
+// graph.Dijkstra's distances, bit for bit.
 func TestVectorsMatchDijkstra(t *testing.T) {
 	phys, err := topology.GenerateBA(sim.NewRNG(25), topology.DefaultBASpec(500))
 	if err != nil {
@@ -183,14 +166,57 @@ func TestVectorsMatchDijkstra(t *testing.T) {
 			want[src][v] = float32(d)
 		}
 	}
-	warm := NewOracle(g, 0)
+	warm := NewOracle(g)
 	warm.Warm(srcs, 4)
-	bounded := NewOracle(g, 16)
+	cold := NewOracle(g)
 	for src := range want {
-		for _, got := range [][]float32{warm.Vector(src), bounded.Vector(src)} {
+		for _, got := range [][]float32{warm.Vector(src), cold.Vector(src)} {
 			for v := range got {
 				if math.Float32bits(got[v]) != math.Float32bits(want[src][v]) {
 					t.Fatalf("vector %d[%d] = %v, Dijkstra gives %v", src, v, got[v], want[src][v])
+				}
+			}
+		}
+	}
+}
+
+// TestConcurrentFillsPublishOnce: goroutines fill overlapping sources on
+// a cold oracle, so several race for each slot. Each source counts one
+// fill, the cache holds one vector per distinct source, and every caller
+// gets the same bits as a serially filled oracle. CI runs it under -race.
+func TestConcurrentFillsPublishOnce(t *testing.T) {
+	phys, err := topology.GenerateBA(sim.NewRNG(27), topology.DefaultBASpec(300))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const sources, workers = 40, 8
+	ref := NewOracle(phys.Graph)
+	o := NewOracle(phys.Graph)
+	got := make([][][]float32, workers)
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			// Every worker fills every source, starting at a different one.
+			for i := range sources {
+				got[w] = append(got[w], o.Vector((i+w*5)%sources))
+			}
+		}()
+	}
+	wg.Wait()
+	if n := o.Stats().Dijkstras; n != sources {
+		t.Fatalf("%d fills counted for %d distinct sources", n, sources)
+	}
+	if n := o.CacheSize(); n != sources {
+		t.Fatalf("CacheSize = %d, want %d", n, sources)
+	}
+	for w := range workers {
+		for i, vec := range got[w] {
+			want := ref.Vector((i + w*5) % sources)
+			for v := range want {
+				if math.Float32bits(vec[v]) != math.Float32bits(want[v]) {
+					t.Fatalf("worker %d source %d: [%d] = %v, want %v", w, (i+w*5)%sources, v, vec[v], want[v])
 				}
 			}
 		}

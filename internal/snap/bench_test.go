@@ -33,7 +33,7 @@ func benchSnapshot(b *testing.B, n int) *Snapshot {
 	if err != nil {
 		b.Fatal(err)
 	}
-	net, err := overlay.NewNetwork(physical.NewOracle(phys.Graph, 0), attach)
+	net, err := overlay.NewNetwork(physical.NewOracle(phys.Graph), attach)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -29,7 +29,7 @@ func buildSnapshot(t testing.TB, seed int64, rounds int) *Snapshot {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net, err := overlay.NewNetwork(physical.NewOracle(phys.Graph, 0), attach)
+	net, err := overlay.NewNetwork(physical.NewOracle(phys.Graph), attach)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestEncodeDecodeCanonical(t *testing.T) {
 	}
 
 	// The decoded state must also pass full semantic validation.
-	if _, err := overlay.RestoreNetwork(physical.NewOracle(topoFor(t, 42), 0), got.Net); err != nil {
+	if _, err := overlay.RestoreNetwork(physical.NewOracle(topoFor(t, 42)), got.Net); err != nil {
 		t.Fatalf("decoded net state rejected: %v", err)
 	}
 }

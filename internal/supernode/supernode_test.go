@@ -18,7 +18,7 @@ func fixture(t *testing.T, policy AssignPolicy) (*Tier, *physical.Oracle) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oracle := physical.NewOracle(phys.Graph, 0)
+	oracle := physical.NewOracle(phys.Graph)
 	attach, err := overlay.RandomAttachments(rng.Derive("at"), 800, 60)
 	if err != nil {
 		t.Fatal(err)

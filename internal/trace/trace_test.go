@@ -79,7 +79,7 @@ func overlayFixture(t *testing.T) (*overlay.Network, *physical.Oracle) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oracle := physical.NewOracle(phys.Graph, 0)
+	oracle := physical.NewOracle(phys.Graph)
 	attach, err := overlay.RandomAttachments(rng.Derive("a"), 200, 80)
 	if err != nil {
 		t.Fatal(err)
@@ -144,7 +144,7 @@ func TestSyntheticGnutellaPowerLaw(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oracle := physical.NewOracle(phys.Graph, 0)
+	oracle := physical.NewOracle(phys.Graph)
 	attach, err := overlay.RandomAttachments(rng.Derive("a"), 3000, 2000)
 	if err != nil {
 		t.Fatal(err)
