@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -37,8 +38,12 @@ func TestCrashDebrisReachesRounds(t *testing.T) {
 	rounds, purged := 0, 0
 	for _, r := range recs {
 		if r.Type == "round" {
+			var line roundLine
+			if err := json.Unmarshal(r.Round, &line); err != nil {
+				t.Fatal(err)
+			}
 			rounds++
-			purged += r.Round.PurgedEdges
+			purged += line.PurgedEdges
 		}
 	}
 	if rounds != steps {

@@ -14,13 +14,12 @@
 //	-debug :6060    live endpoint: net/http/pprof under /debug/pprof/, a
 //	                registry snapshot under /debug/obs, and a windowed causal
 //	                trace under /debug/trace?rounds=N (enables instrumentation)
-//	-trace out.json   record a causal trace of the whole run; .json / .json.gz-less
-//	                extensions select Chrome trace-event format (load in Perfetto),
-//	                anything else JSONL. Implies the flight recorder with dump
+//	-trace out.json   record a causal trace of the whole run as Chrome trace-event
+//	                JSON (load in Perfetto). Implies the flight recorder with dump
 //	                prefix <out>.flight
 //	-flight prefix  always-on flight recorder alone: small rings, no full trace
 //	                file, auto-dumps <prefix>-round<N>-<trigger>.json on anomalies
-//	-trace-analyze f  load a trace (Chrome or JSONL), print the critical-path
+//	-trace-analyze f  load a -trace file, print the critical-path
 //	                report (per-round straggler shards, slowest queries hop by
 //	                hop), and exit
 //
@@ -68,6 +67,7 @@ import (
 
 	"ace"
 	"ace/internal/fault"
+	"ace/internal/gnutella"
 	"ace/internal/metrics"
 	"ace/internal/obs"
 	"ace/internal/obs/tracer"
@@ -97,7 +97,7 @@ func run(args []string) int {
 	verbose := fs.Bool("v", false, "print per-round phase timings and query means")
 	metricsPath := fs.String("metrics", "", "write per-round/per-query JSONL records to this file")
 	debugAddr := fs.String("debug", "", "serve pprof and the obs registry on this address (e.g. :6060)")
-	tracePath := fs.String("trace", "", "record a causal trace to this file (.json selects Chrome trace-event format, else JSONL)")
+	tracePath := fs.String("trace", "", "record a causal trace to this file as Chrome trace-event JSON")
 	flightPrefix := fs.String("flight", "", "flight recorder only: auto-dump <prefix>-round<N>-<trigger>.json on anomalies")
 	traceAnalyze := fs.String("trace-analyze", "", "analyze a recorded trace file and print the critical-path report, then exit")
 	faultsPath := fs.String("faults", "", "load a fault plan (JSON) and inject it into the run")
@@ -122,7 +122,7 @@ func run(args []string) int {
 			fmt.Fprintln(os.Stderr, "acesim:", err)
 			return 1
 		}
-		capture, err := tracer.ReadAny(f)
+		capture, err := tracer.ReadChrome(f)
 		f.Close()
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "acesim:", err)
@@ -449,6 +449,9 @@ func run(args []string) int {
 		return left, crashed
 	}
 
+	// sample floods the step's queries and returns their means. The
+	// response mean is NaN, printed as n/a, when no query was answered:
+	// the mean of no response times is not a perfect response.
 	sample := func(blind bool, label string, round int) (traffic, response, scope, success float64) {
 		net := sys.Network()
 		alive := net.AlivePeers()
@@ -470,21 +473,18 @@ func run(args []string) int {
 				answered++
 			}
 			if stream != nil {
-				rec := obs.QueryRecord{
-					Label: label, Round: round, Index: i,
-					Source: int(src), Scope: q.Scope, Traffic: q.TrafficCost,
-					Transmissions: q.Transmissions, Duplicates: q.Duplicates,
-					TraceGUID: q.TraceGUID,
-				}
-				rec.SetResponseMS(q.FirstResponse)
-				stream.EmitQuery(rec)
+				stream.EmitQuery(gnutella.NewQueryRecord(label, round, i, src, q))
 			}
+		}
+		response = r.Mean()
+		if answered == 0 {
+			response = math.NaN()
 		}
 		success = -1 // the flight recorder skips rounds that sampled nothing
 		if *queries > 0 {
 			success = float64(answered) / float64(*queries)
 		}
-		return t.Mean(), r.Mean(), s.Mean(), success
+		return t.Mean(), response, s.Mean(), success
 	}
 
 	// The blind baseline is sampled once at step 0 and checkpointed;
@@ -505,7 +505,7 @@ func run(args []string) int {
 	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
 	defer signal.Stop(sigCh)
 
-	fmt.Printf("blind flooding baseline: traffic %.0f  response %.1f ms  scope %.1f\n", bt, br, bs)
+	fmt.Printf("blind flooding baseline: traffic %.0f  response %s  scope %.1f\n", bt, orNA("%.1f ms", br), bs)
 	fmt.Printf("%4s  %10s  %8s  %8s  %7s  %6s  %s\n", "step", "traffic", "Δtraffic", "response", "Δresp", "scope", "degree")
 	lastSaved := -1
 	lastStep := startStep
@@ -546,8 +546,8 @@ func run(args []string) int {
 				return failSink("flight recorder", "", err)
 			}
 		}
-		fmt.Printf("%4d  %10.0f  %7.1f%%  %8.1f  %6.1f%%  %6.1f  %.2f   (repl %d, tentative %d, repairs %d)\n",
-			k, t, 100*metrics.Reduction(bt, t), r, 100*metrics.Reduction(br, r), s,
+		fmt.Printf("%4d  %10.0f  %7.1f%%  %8s  %7s  %6.1f  %.2f   (repl %d, tentative %d, repairs %d)\n",
+			k, t, 100*metrics.Reduction(bt, t), orNA("%.1f", r), orNA("%.1f%%", 100*metrics.Reduction(br, r)), s,
 			sys.Network().AverageDegree(), rep.Replacements, rep.KeptNew, rep.Repairs)
 		if *verbose {
 			fmt.Printf("      round %d: rebuild %.2fms  phase3 %.2fms  repair %.2fms  probes %d  exchange %.0f\n",
@@ -569,22 +569,16 @@ func run(args []string) int {
 			}
 		}
 		if stream != nil {
-			stream.EmitRound(obs.RoundRecord{
-				Round:        k,
-				RebuildNanos: rep.RebuildNanos, Phase3Nanos: rep.Phase3Nanos, RepairNanos: rep.RepairNanos,
-				Probes: rep.Probes, Replacements: rep.Replacements, KeptNew: rep.KeptNew,
-				DeferredCuts: rep.DeferredCuts, Abandoned: rep.Abandoned, Repairs: rep.Repairs,
-				RepairHits: rep.RepairHits, RepairFallbacks: rep.RepairFallbacks,
-				AttachOps: rep.AttachOps, SwapOps: rep.SwapOps,
-				ProbeTraffic: rep.ProbeTraffic, ExchangeCost: rep.ExchangeCost,
+			line := roundLine{
+				Round: k, StepReport: rep,
 				AvgDegree:    sys.Network().AverageDegree(),
 				QueryTraffic: t, QueryResponse: r, QueryScope: s,
-				ProbeRetries: rep.ProbeRetries, ProbeTimeouts: rep.ProbeTimeouts,
-				StaleMarked: rep.StaleMarked, StaleExpired: rep.StaleExpired,
-				BlacklistHits: rep.BlacklistHits, FailedConnects: rep.FailedConnects,
-				PurgedEdges: rep.PurgedEdges,
-				TraceID:     traceID, TraceSeq: tracer.Default().RoundSeq(),
-			})
+				TraceID: traceID, TraceSeq: tracer.Default().RoundSeq(),
+			}
+			if math.IsNaN(r) {
+				line.QueryResponse = 0 // no query answered; JSON cannot carry NaN
+			}
+			stream.EmitRound(line)
 			if err := stream.Err(); err != nil {
 				metricsFile.Close()
 				return failSink("metrics stream", *metricsPath, err)
@@ -663,19 +657,42 @@ func parsePolicy(name string) (ace.Policy, bool) {
 	return 0, false
 }
 
-// writeTrace dumps the whole recorded trace: Chrome trace-event JSON
-// for .json paths (Perfetto-loadable), JSONL otherwise.
+// roundLine is one -metrics round record: the round's StepReport, whose
+// field tags name its keys, flattened beside what acesim measured after
+// the round. Query means are 0, and omitted, when no query was sampled;
+// the response mean is also when none was answered.
+type roundLine struct {
+	Round int `json:"round"`
+	ace.StepReport
+	AvgDegree     float64 `json:"avg_degree,omitempty"`
+	QueryTraffic  float64 `json:"query_traffic,omitempty"`
+	QueryResponse float64 `json:"query_response_ms,omitempty"`
+	QueryScope    float64 `json:"query_scope,omitempty"`
+
+	// Trace linkage, set when a causal-trace capture runs alongside the
+	// metrics stream: TraceID is the capture's run id (tracer.FormatRunID)
+	// and TraceSeq the tracer's round sequence for this round, so a round
+	// line joins exactly one round window of the trace file.
+	TraceID  string `json:"trace_id,omitempty"`
+	TraceSeq int32  `json:"trace_seq,omitempty"`
+}
+
+// orNA formats v, or returns n/a for a NaN response mean.
+func orNA(format string, v float64) string {
+	if math.IsNaN(v) {
+		return "n/a"
+	}
+	return fmt.Sprintf(format, v)
+}
+
+// writeTrace dumps the whole recorded trace as Chrome trace-event JSON
+// (Perfetto-loadable).
 func writeTrace(path string) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	capture := tracer.Default().Capture()
-	if strings.HasSuffix(path, ".json") {
-		err = tracer.WriteChrome(f, capture)
-	} else {
-		err = tracer.WriteJSONL(f, capture)
-	}
+	err = tracer.WriteChrome(f, tracer.Default().Capture())
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}

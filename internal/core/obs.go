@@ -1,6 +1,10 @@
 package core
 
-import "ace/internal/obs"
+import (
+	"reflect"
+
+	"ace/internal/obs"
+)
 
 // Round-optimizer instrumentation (naming scheme: ace.core.<name>; see
 // DESIGN.md §6). The spans are the single source of truth for the
@@ -33,16 +37,10 @@ var (
 	cAttachOps       = obs.NewCounter("ace.core.rebuild.attach_ops")
 	cSwapOps         = obs.NewCounter("ace.core.rebuild.swap_ops")
 
-	// Phase-3 outcome counters: probes issued, Figure-4(b) replacements
-	// accepted, Figure-4(c) tentative keeps accepted, and probes whose
-	// candidate was rejected (Figure 4(d) or a refused/failed connect).
-	cProbes       = obs.NewCounter("ace.core.phase3.probes")
-	cReplacements = obs.NewCounter("ace.core.phase3.accept_replace")
-	cKeptNew      = obs.NewCounter("ace.core.phase3.accept_keep")
-	cRejected     = obs.NewCounter("ace.core.phase3.reject")
-	cDeferredCuts = obs.NewCounter("ace.core.phase3.deferred_cuts")
-	cAbandoned    = obs.NewCounter("ace.core.phase3.abandoned")
-	cRepairs      = obs.NewCounter("ace.core.repair.connects")
+	// Phase-3 probes whose candidate was rejected (Figure 4(d) or a
+	// refused/failed connect). The counters fed straight from a report
+	// field are named by StepReport's obs tags (reportCounters).
+	cRejected = obs.NewCounter("ace.core.phase3.reject")
 
 	// Sharded-engine instruments (ace.core.shard.*): per-shard peer and
 	// rebuild counts per fan-out, the cross-shard merge span (run fold
@@ -54,19 +52,33 @@ var (
 	spanShardMerge  = obs.NewSpan("ace.core.shard.merge_nanos")
 	spanMergeSort   = obs.NewSpan("ace.core.shard.merge_sort_nanos")
 	hShardImbalance = obs.NewHistogram("ace.core.shard.imbalance")
-
-	// Fault-reaction counters (ace.fault.*): how the protocol responded
-	// to injected faults and crash debris. The injection-side tallies
-	// (ace.fault.injected.*) are always-on counters owned by the
-	// injector itself; these gated ones count the protocol's reactions.
-	cFaultRetries       = obs.NewCounter("ace.fault.probe.retries")
-	cFaultProbeTimeouts = obs.NewCounter("ace.fault.probe.timeouts")
-	cFaultStaleMarked   = obs.NewCounter("ace.fault.stale.marked")
-	cFaultStaleExpired  = obs.NewCounter("ace.fault.stale.expired")
-	cFaultBlacklistHits = obs.NewCounter("ace.fault.blacklist.hits")
-	cFaultFailedDials   = obs.NewCounter("ace.fault.connect.failures")
-	cFaultPurged        = obs.NewCounter("ace.fault.crash.purged_edges")
 )
+
+// reportCounter pairs a StepReport field with the counter its obs tag
+// names.
+type reportCounter struct {
+	field int
+	c     *obs.Counter
+}
+
+// reportCounters holds one counter per obs-tagged StepReport field,
+// registered once at package init.
+var reportCounters = func() []reportCounter {
+	var out []reportCounter
+	t := reflect.TypeOf(StepReport{})
+	for i := 0; i < t.NumField(); i++ {
+		f := t.Field(i)
+		name, ok := f.Tag.Lookup("obs")
+		if !ok {
+			continue
+		}
+		if f.Type.Kind() != reflect.Int {
+			panic("core: obs-tagged StepReport field " + f.Name + " is not an int")
+		}
+		out = append(out, reportCounter{field: i, c: obs.NewCounter(name)})
+	}
+	return out
+}()
 
 // flushRoundObs folds one completed round's report into the registry.
 // Every probe either ended in an accepted rewire (4b replacement or 4c
@@ -76,22 +88,13 @@ func flushRoundObs(report *StepReport) {
 	if !obs.Enabled() {
 		return
 	}
-	cProbes.Add(uint64(report.Probes))
-	cReplacements.Add(uint64(report.Replacements))
-	cKeptNew.Add(uint64(report.KeptNew))
+	v := reflect.ValueOf(report).Elem()
+	for _, rc := range reportCounters {
+		rc.c.Add(uint64(v.Field(rc.field).Int()))
+	}
 	if rej := report.Probes - report.Replacements - report.KeptNew; rej > 0 {
 		cRejected.Add(uint64(rej))
 	}
-	cDeferredCuts.Add(uint64(report.DeferredCuts))
-	cAbandoned.Add(uint64(report.Abandoned))
-	cRepairs.Add(uint64(report.Repairs))
-	cFaultRetries.Add(uint64(report.ProbeRetries))
-	cFaultProbeTimeouts.Add(uint64(report.ProbeTimeouts))
-	cFaultStaleMarked.Add(uint64(report.StaleMarked))
-	cFaultStaleExpired.Add(uint64(report.StaleExpired))
-	cFaultBlacklistHits.Add(uint64(report.BlacklistHits))
-	cFaultFailedDials.Add(uint64(report.FailedConnects))
-	cFaultPurged.Add(uint64(report.PurgedEdges))
 	if report.ShardImbalance > 0 {
 		hShardImbalance.Observe(uint64(report.ShardImbalance * 100))
 	}

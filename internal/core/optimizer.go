@@ -130,26 +130,30 @@ const PendingTTL = 3
 // the tentative extra degree a peer carries.
 const MaxPending = 2
 
-// StepReport summarizes one ACE round for instrumentation and tests.
+// StepReport summarizes one ACE round for instrumentation and tests. It
+// is the one declaration of every round metric: a field's json tag is its
+// key in a -metrics round line, and an obs tag names the ace.* counter
+// each round adds the field's value to (flushRoundObs). Fields tagged
+// json:"-" stay out of the stream.
 type StepReport struct {
-	Probes       int     // Phase-3 candidate probes issued
-	Replacements int     // immediate Figure-4(b) replacements
-	KeptNew      int     // Figure-4(c) tentative connections
-	DeferredCuts int     // pending cuts executed this round
-	Abandoned    int     // Figure-4(c) experiments expired this round
-	Repairs      int     // bootstrap connections opened to hold minDegree
-	ProbeTraffic float64 // traffic cost of this round's probes
-	ExchangeCost float64 // traffic cost of this round's cost-table exchange
+	Probes       int     `json:"probes" obs:"ace.core.phase3.probes"`               // Phase-3 candidate probes issued
+	Replacements int     `json:"replacements" obs:"ace.core.phase3.accept_replace"` // immediate Figure-4(b) replacements
+	KeptNew      int     `json:"kept_new" obs:"ace.core.phase3.accept_keep"`        // Figure-4(c) tentative connections
+	DeferredCuts int     `json:"deferred_cuts" obs:"ace.core.phase3.deferred_cuts"` // pending cuts executed this round
+	Abandoned    int     `json:"abandoned" obs:"ace.core.phase3.abandoned"`         // Figure-4(c) experiments expired this round
+	Repairs      int     `json:"repairs" obs:"ace.core.repair.connects"`            // bootstrap connections opened to hold minDegree
+	ProbeTraffic float64 `json:"probe_traffic"`                                     // traffic cost of this round's probes
+	ExchangeCost float64 `json:"exchange_cost"`                                     // traffic cost of this round's cost-table exchange
 
 	// Fault-reaction counters; all zero when no fault plan is attached
 	// and no crash debris exists.
-	ProbeRetries   int // Phase-1 probe retries after a timeout
-	ProbeTimeouts  int // probes (Phase 1 and 3) that got no answer
-	StaleMarked    int // peers whose cost entries newly went stale
-	StaleExpired   int // peers that crossed staleTTL and were excluded
-	BlacklistHits  int // candidate picks refused by the dial blacklist
-	FailedConnects int // dials the fault plan failed
-	PurgedEdges    int // dangling half-open edges detected and purged
+	ProbeRetries   int `json:"probe_retries,omitempty" obs:"ace.fault.probe.retries"`      // Phase-1 probe retries after a timeout
+	ProbeTimeouts  int `json:"probe_timeouts,omitempty" obs:"ace.fault.probe.timeouts"`    // probes (Phase 1 and 3) that got no answer
+	StaleMarked    int `json:"stale_marked,omitempty" obs:"ace.fault.stale.marked"`        // peers whose cost entries newly went stale
+	StaleExpired   int `json:"stale_expired,omitempty" obs:"ace.fault.stale.expired"`      // peers that crossed staleTTL and were excluded
+	BlacklistHits  int `json:"blacklist_hits,omitempty" obs:"ace.fault.blacklist.hits"`    // candidate picks refused by the dial blacklist
+	FailedConnects int `json:"failed_connects,omitempty" obs:"ace.fault.connect.failures"` // dials the fault plan failed
+	PurgedEdges    int `json:"purged_edges,omitempty" obs:"ace.fault.crash.purged_edges"`  // dangling half-open edges detected and purged
 
 	// Wall-clock phase breakdown of the round, for benchmarks that need
 	// to attribute cost (differential tests zero these before comparing).
@@ -161,9 +165,9 @@ type StepReport struct {
 	// of per-shard CPU time, so the three fields always add up to at most
 	// the round's wall-clock duration. Pinned by
 	// TestStepReportNanosAreWallClock.
-	RebuildNanos int64 // Phases 1–2: state sync + exchange pricing
-	Phase3Nanos  int64 // pending cuts + the per-peer replacement policy
-	RepairNanos  int64 // minimum-degree repair
+	RebuildNanos int64 `json:"rebuild_ns"` // Phases 1–2: state sync + exchange pricing
+	Phase3Nanos  int64 `json:"phase3_ns"`  // pending cuts + the per-peer replacement policy
+	RepairNanos  int64 `json:"repair_ns"`  // minimum-degree repair
 
 	// Sharded-engine diagnostics; all zero when the serial engine ran
 	// the round (Config.Shards == 0). MergeNanos is the wall-clock of the
@@ -172,18 +176,18 @@ type StepReport struct {
 	// the per-shard proposal sorts, which run concurrently inside the
 	// fan-out, so it is CPU time, not wall-clock, and takes no part in
 	// the phase-nanos ≤ elapsed contract.
-	Shards           int     // shard cap the round executed with
-	MergeNanos       int64   // run fold + serial apply, within Phase3Nanos
-	MergeSortNanos   int64   // per-shard proposal sorts, summed CPU time
-	ShardImbalance   float64 // max shard's states built over the mean, −1
-	ProposeImbalance float64 // max shard's proposal count over the mean, −1
+	Shards           int     `json:"shards,omitempty"`            // shard cap the round executed with
+	MergeNanos       int64   `json:"merge_ns,omitempty"`          // run fold + serial apply, within Phase3Nanos
+	MergeSortNanos   int64   `json:"merge_sort_ns,omitempty"`     // per-shard proposal sorts, summed CPU time
+	ShardImbalance   float64 `json:"shard_imbalance,omitempty"`   // max shard's states built over the mean, −1
+	ProposeImbalance float64 `json:"propose_imbalance,omitempty"` // max shard's proposal count over the mean, −1
 
 	// MergeSegments and MergeSerialFallbacks are always 0: the merge
 	// applies its stream serially and cuts it into no conflict segments.
 	// They remain only because the acebench report reads them, and go
 	// with the next change to that benchmark.
-	MergeSegments        int
-	MergeSerialFallbacks int
+	MergeSegments        int `json:"-"`
+	MergeSerialFallbacks int `json:"-"`
 
 	// Incremental tree-repair diagnostics (see repair.go); engine
 	// bookkeeping like the sharded-engine fields above, zeroed by
@@ -193,11 +197,12 @@ type StepReport struct {
 	// dense construction anyway (no prior state, delta past the
 	// threshold, or repair disabled for the round); AttachOps and SwapOps
 	// count the members spliced in and the tree edges displaced while
-	// repairing.
-	RepairHits      int
-	RepairFallbacks int
-	AttachOps       int
-	SwapOps         int
+	// repairing. They carry no obs tag: noteRepair feeds their counters
+	// from every rebuild pass, RebuildTrees' too, which no report covers.
+	RepairHits      int `json:"repair_hits,omitempty"`
+	RepairFallbacks int `json:"repair_fallbacks,omitempty"`
+	AttachOps       int `json:"attach_ops,omitempty"`
+	SwapOps         int `json:"swap_ops,omitempty"`
 }
 
 // NewOptimizer validates cfg and attaches an optimizer to net. No state

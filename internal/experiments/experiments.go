@@ -99,10 +99,11 @@ type Env struct {
 	Net    *overlay.Network
 	RNG    *sim.RNG
 
-	// Stream, when non-nil, receives one obs.QueryRecord per measured
-	// query. Records are emitted in query-index order after the parallel
-	// fold, so the JSONL output is deterministic regardless of worker
-	// scheduling. Round stamps each record with the caller's round.
+	// Stream, when non-nil, receives one gnutella.QueryRecord per
+	// measured query. Records are emitted in query-index order after the
+	// parallel fold, so the JSONL output is deterministic regardless of
+	// worker scheduling. Round stamps each record with the caller's
+	// round.
 	Stream *obs.Stream
 	Round  int
 }
@@ -180,14 +181,7 @@ func (e *Env) MeasureQueries(fwd core.Forwarder, n int, label string) QuerySampl
 		return s
 	}
 	warmOracle(e.Net, alive)
-	type point struct {
-		traffic, response float64
-		src               overlay.PeerID
-		scope, sends, dup int
-		lost, dead        int
-		guid              uint64
-	}
-	results := make([]point, n)
+	results := make([]gnutella.QueryRecord, n)
 	_ = forEach(n, func(i int) error {
 		qrng := rng.DeriveN("q", i)
 		src := alive[qrng.Intn(len(alive))]
@@ -196,30 +190,22 @@ func (e *Env) MeasureQueries(fwd core.Forwarder, n int, label string) QuerySampl
 			responders[alive[qrng.Intn(len(alive))]] = true
 		}
 		r := gnutella.Evaluate(e.Net, fwd, src, e.Scale.TTL, responders)
-		results[i] = point{r.TrafficCost, r.FirstResponse, src, r.Scope, r.Transmissions, r.Duplicates, r.Lost, r.DeadLetters, r.TraceGUID}
+		results[i] = gnutella.NewQueryRecord(label, e.Round, i, src, r)
 		return nil
 	})
 	s.Queries = n
 	for i := range results {
-		s.Traffic.Add(results[i].traffic)
-		if math.IsInf(results[i].response, 1) {
+		q := &results[i]
+		s.Traffic.Add(q.TrafficCost)
+		if math.IsInf(q.FirstResponse, 1) {
 			s.Failed++
 		} else {
-			s.Response.Add(results[i].response)
+			s.Response.Add(q.FirstResponse)
 		}
-		s.Lost += results[i].lost
-		s.DeadLetters += results[i].dead
-		s.Scope.Add(float64(results[i].scope))
+		s.Lost += q.Lost
+		s.DeadLetters += q.DeadLetters
+		s.Scope.Add(float64(q.Scope))
 		if e.Stream != nil {
-			q := obs.QueryRecord{
-				Label: label, Round: e.Round, Index: i,
-				Source: int(results[i].src), Scope: results[i].scope,
-				Traffic:       results[i].traffic,
-				Transmissions: results[i].sends,
-				Duplicates:    results[i].dup,
-				TraceGUID:     results[i].guid,
-			}
-			q.SetResponseMS(results[i].response)
 			e.Stream.EmitQuery(q)
 		}
 	}

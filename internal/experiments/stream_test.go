@@ -2,9 +2,11 @@ package experiments
 
 import (
 	"bytes"
+	"encoding/json"
 	"testing"
 
 	"ace/internal/core"
+	"ace/internal/gnutella"
 	"ace/internal/obs"
 )
 
@@ -48,10 +50,10 @@ func TestMeasureQueriesStreamTee(t *testing.T) {
 	}
 	var traffic, scope float64
 	for i, rec := range recs {
-		if rec.Type != "query" || rec.Query == nil {
+		var q gnutella.QueryRecord
+		if rec.Type != "query" || json.Unmarshal(rec.Query, &q) != nil {
 			t.Fatalf("record %d: not a query record: %+v", i, rec)
 		}
-		q := rec.Query
 		if q.Index != i {
 			t.Fatalf("record %d carries index %d: stream not in index order", i, q.Index)
 		}
@@ -61,7 +63,7 @@ func TestMeasureQueriesStreamTee(t *testing.T) {
 		if q.Scope <= 0 || q.Transmissions <= 0 {
 			t.Fatalf("record %d has empty flood: %+v", i, q)
 		}
-		traffic += q.Traffic
+		traffic += q.TrafficCost
 		scope += float64(q.Scope)
 	}
 	// The per-query records must sum to what the aggregate averaged.

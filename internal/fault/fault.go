@@ -130,20 +130,24 @@ func LoadPlan(path string) (Plan, error) {
 
 // Injector evaluates a Plan. All methods are safe on a nil receiver
 // (inject nothing) and safe for concurrent use: decisions are pure
-// hashes, and the only mutable state is the atomic round counter.
-//
-// Injected-fault counters are per-instance and always-on (the physical
-// oracle's pattern), so a run with -metrics surfaces them in the final
-// snapshot without requiring the registry enabled during the run.
+// hashes, and the only mutable state is atomic: the round counter and
+// the injected-fault counts behind Stats, which count with observability
+// off. The gated ace.fault.injected.* counters sum them over every
+// injector.
 type Injector struct {
 	plan   Plan
 	period int64
 	round  atomic.Int64
 
-	cLost    *obs.Counter
-	cProbeTO *obs.Counter
-	cConnect *obs.Counter
+	lost, probeTimeouts, connectFailures atomic.Uint64
 }
+
+// Process-wide injected-fault totals, gated like all obs instruments.
+var (
+	cLost    = obs.NewCounter("ace.fault.injected.msg_lost")
+	cProbeTO = obs.NewCounter("ace.fault.injected.probe_timeouts")
+	cConnect = obs.NewCounter("ace.fault.injected.connect_failures")
+)
 
 // NewInjector validates the plan and returns an injector for it.
 func NewInjector(plan Plan) (*Injector, error) {
@@ -154,13 +158,7 @@ func NewInjector(plan Plan) (*Injector, error) {
 	if period == 0 {
 		period = DefaultUnresponsivePeriod
 	}
-	return &Injector{
-		plan:     plan,
-		period:   int64(period),
-		cLost:    obs.NewAlwaysCounter("ace.fault.injected.msg_lost"),
-		cProbeTO: obs.NewAlwaysCounter("ace.fault.injected.probe_timeouts"),
-		cConnect: obs.NewAlwaysCounter("ace.fault.injected.connect_failures"),
-	}, nil
+	return &Injector{plan: plan, period: int64(period)}, nil
 }
 
 // Plan returns the injector's plan (zero Plan for a nil injector).
@@ -226,7 +224,8 @@ func (in *Injector) DropMessage(nonce uint64, from, to int, seq uint32) bool {
 	if u01(h) >= in.plan.LossRate {
 		return false
 	}
-	in.cLost.Inc()
+	in.lost.Add(1)
+	cLost.Inc()
 	return true
 }
 
@@ -263,7 +262,8 @@ func (in *Injector) ProbeTimeout(prober, target, attempt int) bool {
 		return false
 	}
 	if in.Unresponsive(target) {
-		in.cProbeTO.Inc()
+		in.probeTimeouts.Add(1)
+		cProbeTO.Inc()
 		return true
 	}
 	if in.plan.ProbeTimeoutRate <= 0 {
@@ -274,7 +274,8 @@ func (in *Injector) ProbeTimeout(prober, target, attempt int) bool {
 	if u01(h) >= in.plan.ProbeTimeoutRate {
 		return false
 	}
-	in.cProbeTO.Inc()
+	in.probeTimeouts.Add(1)
+	cProbeTO.Inc()
 	return true
 }
 
@@ -286,7 +287,8 @@ func (in *Injector) ConnectFails(dialer, target int) bool {
 		return false
 	}
 	if in.Unresponsive(target) {
-		in.cConnect.Inc()
+		in.connectFailures.Add(1)
+		cConnect.Inc()
 		return true
 	}
 	if in.plan.ConnectFailRate <= 0 {
@@ -297,7 +299,8 @@ func (in *Injector) ConnectFails(dialer, target int) bool {
 	if u01(h) >= in.plan.ConnectFailRate {
 		return false
 	}
-	in.cConnect.Inc()
+	in.connectFailures.Add(1)
+	cConnect.Inc()
 	return true
 }
 
@@ -314,8 +317,8 @@ func (in *Injector) Stats() Stats {
 		return Stats{}
 	}
 	return Stats{
-		MessagesLost:    in.cLost.Value(),
-		ProbeTimeouts:   in.cProbeTO.Value(),
-		ConnectFailures: in.cConnect.Value(),
+		MessagesLost:    in.lost.Load(),
+		ProbeTimeouts:   in.probeTimeouts.Load(),
+		ConnectFailures: in.connectFailures.Load(),
 	}
 }

@@ -10,36 +10,69 @@ import (
 )
 
 // QueryResult summarizes one query flood, in the paper's §4.2 metrics.
+// It is the one declaration of every query metric: a field's json tag
+// is its key in a -metrics query line (QueryRecord); fields tagged
+// json:"-" stay out of the stream.
 type QueryResult struct {
 	// Scope is the number of peers the query reached, including the
 	// source (the paper's search scope).
-	Scope int
+	Scope int `json:"scope"`
 	// TrafficCost is the sum over every transmission of the physical
 	// delay of the logical link it crossed — the paper's traffic cost.
-	TrafficCost float64
+	TrafficCost float64 `json:"traffic"`
 	// Transmissions counts individual message sends.
-	Transmissions int
+	Transmissions int `json:"transmissions"`
 	// Duplicates counts messages that arrived at an already-visited
 	// peer — the pure waste blind flooding generates.
-	Duplicates int
+	Duplicates int `json:"duplicates"`
 	// FirstResponse is the time in milliseconds until the source
 	// receives the first QueryHit (responses travel the inverse query
 	// path), +Inf when no responder was reached. The source responding
-	// itself yields 0.
-	FirstResponse float64
+	// itself yields 0. A QueryRecord carries it as ResponseMS.
+	FirstResponse float64 `json:"-"`
 	// Lost counts transmissions the fault plan dropped in transit; the
 	// sender paid for them, the delivery never happened.
-	Lost int
+	Lost int `json:"lost,omitempty"`
 	// DeadLetters counts deliveries dropped because the target had
 	// crashed (debris adjacency not yet purged).
-	DeadLetters int
+	DeadLetters int `json:"dead_letters,omitempty"`
 	// Arrival maps each reached peer to its arrival time in
 	// milliseconds.
-	Arrival map[overlay.PeerID]float64
+	Arrival map[overlay.PeerID]float64 `json:"-"`
 	// TraceGUID is the causal-trace query GUID this flood's events
 	// carry, 0 while tracing is off — the join key between metrics
 	// streams and trace captures.
-	TraceGUID uint64
+	TraceGUID uint64 `json:"trace_guid,omitempty"`
+}
+
+// QueryRecord is one evaluated query as a -metrics stream line: the
+// flood's QueryResult plus the batch, round and source it was measured
+// with.
+type QueryRecord struct {
+	// Label names the measurement batch the query belongs to (the
+	// MeasureQueries label, or a caller-chosen tag).
+	Label string `json:"label,omitempty"`
+	// Round is the optimization step the query was measured after.
+	Round int `json:"round"`
+	// Index is the query's position within its batch.
+	Index  int `json:"index"`
+	Source int `json:"source"`
+	QueryResult
+	// ResponseMS is FirstResponse, or -1 when no responder was reached:
+	// JSON cannot carry +Inf.
+	ResponseMS float64 `json:"response_ms"`
+}
+
+// NewQueryRecord builds the stream record of query index of a batch.
+// The record drops r's Arrival map, which the stream does not carry, so
+// no arrival map outlives its query.
+func NewQueryRecord(label string, round, index int, src overlay.PeerID, r QueryResult) QueryRecord {
+	ms := r.FirstResponse
+	if math.IsInf(ms, 1) || math.IsNaN(ms) {
+		ms = -1
+	}
+	r.Arrival = nil
+	return QueryRecord{Label: label, Round: round, Index: index, Source: int(src), QueryResult: r, ResponseMS: ms}
 }
 
 const msPerDur = float64(time.Millisecond)

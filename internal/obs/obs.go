@@ -18,10 +18,9 @@
 //
 // Metric names follow the scheme `ace.<pkg>.<name>` (dots as
 // separators, lowercase, e.g. `ace.core.rebuild.peers`). Metrics
-// register themselves in the Default registry at construction; several
-// instruments may share a name (per-instance metrics such as the
-// physical oracle's), and Snapshot aggregates same-named instruments
-// into one entry.
+// register themselves in the Default registry at construction, once per
+// name: instruments are package-level, never per instance, since the
+// registry keeps every instrument for the life of the process.
 //
 // The enable switch is process-wide: Enable()/Disable(), or the
 // ACE_OBS=1 environment variable at startup. Sinks on top of the core:
@@ -30,11 +29,11 @@
 package obs
 
 import (
-	"fmt"
 	"math"
 	"math/bits"
 	"os"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -90,40 +89,21 @@ func (r *Registry) register(m instrument) {
 	r.mu.Unlock()
 }
 
-// Snapshot renders every registered instrument, aggregated by name
-// (same-named instruments — per-instance counters — sum their counts and
-// merge their buckets) and sorted by name for deterministic output.
+// Snapshot renders every registered instrument, sorted by name for
+// deterministic output.
 func (r *Registry) Snapshot() []Snapshot {
 	r.mu.Lock()
 	metrics := slices.Clone(r.metrics)
 	r.mu.Unlock()
-	byName := make(map[string]int, len(metrics))
-	var out []Snapshot
-	for _, m := range metrics {
-		s := m.snapshot()
-		if i, ok := byName[s.Name]; ok && out[i].Kind == s.Kind {
-			merged := out[i]
-			if err := merged.Merge(s); err == nil {
-				out[i] = merged
-				continue
-			}
-		}
-		byName[s.Name] = len(out)
-		out = append(out, s)
+	out := make([]Snapshot, len(metrics))
+	for i, m := range metrics {
+		out[i] = m.snapshot()
 	}
-	slices.SortFunc(out, func(a, b Snapshot) int {
-		if a.Name < b.Name {
-			return -1
-		}
-		if a.Name > b.Name {
-			return 1
-		}
-		return 0
-	})
+	slices.SortFunc(out, func(a, b Snapshot) int { return strings.Compare(a.Name, b.Name) })
 	return out
 }
 
-// Snapshot is one aggregated metric value at a point in time.
+// Snapshot is one metric value at a point in time.
 type Snapshot struct {
 	Name string `json:"name"`
 	Kind string `json:"kind"` // "counter" | "gauge" | "histogram" | "span"
@@ -181,31 +161,11 @@ func (s Snapshot) Quantile(q float64) float64 {
 	return float64(high)
 }
 
-// Merge folds o into s: counters and gauges sum, histograms and spans
-// add counts and merge buckets elementwise. The two snapshots must have
-// the same name and kind.
-func (s *Snapshot) Merge(o Snapshot) error {
-	if s.Name != o.Name || s.Kind != o.Kind {
-		return fmt.Errorf("obs: cannot merge %s/%s into %s/%s", o.Name, o.Kind, s.Name, s.Kind)
-	}
-	s.Value += o.Value
-	s.Count += o.Count
-	s.Sum += o.Sum
-	if len(o.Buckets) > len(s.Buckets) {
-		s.Buckets = append(s.Buckets, make([]uint64, len(o.Buckets)-len(s.Buckets))...)
-	}
-	for i, b := range o.Buckets {
-		s.Buckets[i] += b
-	}
-	return nil
-}
-
 // Counter is a monotonically increasing count. The zero Counter is
 // unusable; construct with NewCounter.
 type Counter struct {
-	name   string
-	always bool
-	v      atomic.Uint64
+	name string
+	v    atomic.Uint64
 }
 
 // NewCounter registers a gated counter in the default registry: Add is a
@@ -216,23 +176,12 @@ func NewCounter(name string) *Counter {
 	return c
 }
 
-// NewAlwaysCounter registers a counter that records regardless of the
-// enable flag. It exists for per-instance activity counters that predate
-// the registry and whose exported snapshots (physical.Oracle.Stats) must
-// keep counting with observability off; new instrumentation should use
-// NewCounter.
-func NewAlwaysCounter(name string) *Counter {
-	c := &Counter{name: name, always: true}
-	defaultRegistry.register(c)
-	return c
-}
-
 // Name returns the metric name.
 func (c *Counter) Name() string { return c.name }
 
 // Add increments the counter by n.
 func (c *Counter) Add(n uint64) {
-	if c.always || defaultRegistry.enabled.Load() {
+	if defaultRegistry.enabled.Load() {
 		c.v.Add(n)
 	}
 }

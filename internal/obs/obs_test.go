@@ -72,15 +72,6 @@ func TestEnabledRecording(t *testing.T) {
 	})
 }
 
-func TestAlwaysCounterIgnoresGate(t *testing.T) {
-	Disable()
-	c := NewAlwaysCounter("ace.test.always.counter")
-	c.Add(3)
-	if c.Value() != 3 {
-		t.Fatalf("always counter = %d with registry disabled, want 3", c.Value())
-	}
-}
-
 // TestHistogramBucketEdges pins the log₂ bucketing at its edges: 0 is
 // its own bucket, 1 is the first power bucket, and MaxUint64 lands in
 // the last of the 65 buckets.
@@ -138,58 +129,6 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 		}
 		if lo, hi := BucketBounds(64); lo != 1<<63 || hi != math.MaxUint64 {
 			t.Fatalf("BucketBounds(64) = [%d, %d]", lo, hi)
-		}
-	})
-}
-
-func TestSnapshotMergeHistograms(t *testing.T) {
-	withEnabled(t, func() {
-		a := NewHistogram("ace.test.hist.merge")
-		b := NewHistogram("ace.test.hist.merge")
-		a.Observe(0)
-		a.Observe(100)
-		b.Observe(1)
-		b.Observe(100)
-		b.Observe(math.MaxUint64)
-		sa, sb := a.snapshot(), b.snapshot()
-		if err := sa.Merge(sb); err != nil {
-			t.Fatal(err)
-		}
-		if sa.Count != 5 {
-			t.Fatalf("merged count = %d, want 5", sa.Count)
-		}
-		if sa.Buckets[0] != 1 || sa.Buckets[1] != 1 || sa.Buckets[7] != 2 || sa.Buckets[64] != 1 {
-			t.Fatalf("merged buckets = %v", sa.Buckets)
-		}
-		// Mismatched names refuse to merge.
-		other := Snapshot{Name: "ace.test.other", Kind: "histogram"}
-		if err := sa.Merge(other); err == nil {
-			t.Fatal("merge across names succeeded")
-		}
-	})
-}
-
-// TestSnapshotAggregatesSameName pins the per-instance story: two
-// counters registered under one name appear as a single summed entry
-// (the physical oracle registers per-instance counters this way).
-func TestSnapshotAggregatesSameName(t *testing.T) {
-	withEnabled(t, func() {
-		a := NewCounter("ace.test.agg.shared")
-		b := NewCounter("ace.test.agg.shared")
-		a.Add(2)
-		b.Add(40)
-		var got *Snapshot
-		for _, s := range Default().Snapshot() {
-			if s.Name == "ace.test.agg.shared" {
-				s := s
-				got = &s
-			}
-		}
-		if got == nil {
-			t.Fatal("shared counter missing from snapshot")
-		}
-		if got.Value != 42 {
-			t.Fatalf("aggregated value = %d, want 42", got.Value)
 		}
 	})
 }

@@ -4,97 +4,17 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
-	"math"
 	"sync"
 )
 
-// RoundRecord is one ACE round in the event stream: the optimizer's
-// StepReport flattened, plus the query means the driver sampled after
-// the round (zero when the driver measures no queries).
-type RoundRecord struct {
-	Round        int     `json:"round"`
-	RebuildNanos int64   `json:"rebuild_ns"`
-	Phase3Nanos  int64   `json:"phase3_ns"`
-	RepairNanos  int64   `json:"repair_ns"`
-	Probes       int     `json:"probes"`
-	Replacements int     `json:"replacements"`
-	KeptNew      int     `json:"kept_new"`
-	DeferredCuts int     `json:"deferred_cuts"`
-	Abandoned    int     `json:"abandoned"`
-	Repairs      int     `json:"repairs"`
-	ProbeTraffic float64 `json:"probe_traffic"`
-	ExchangeCost float64 `json:"exchange_cost"`
-	AvgDegree    float64 `json:"avg_degree,omitempty"`
-
-	// Incremental MST-repair outcomes for the round's rebuild pass (zero
-	// when no dirty state took either path; omitted from JSON). Hits and
-	// fallbacks partition the dirty states that had a previous tree;
-	// attach/swap ops count the repair edits applied in place of dense
-	// Prim runs.
-	RepairHits      int `json:"repair_hits,omitempty"`
-	RepairFallbacks int `json:"repair_fallbacks,omitempty"`
-	AttachOps       int `json:"attach_ops,omitempty"`
-	SwapOps         int `json:"swap_ops,omitempty"`
-
-	// Fault-hardening reactions (zero on clean runs; omitted from JSON).
-	ProbeRetries   int `json:"probe_retries,omitempty"`
-	ProbeTimeouts  int `json:"probe_timeouts,omitempty"`
-	StaleMarked    int `json:"stale_marked,omitempty"`
-	StaleExpired   int `json:"stale_expired,omitempty"`
-	BlacklistHits  int `json:"blacklist_hits,omitempty"`
-	FailedConnects int `json:"failed_connects,omitempty"`
-	PurgedEdges    int `json:"purged_edges,omitempty"`
-
-	QueryTraffic  float64 `json:"query_traffic,omitempty"`
-	QueryResponse float64 `json:"query_response_ms,omitempty"`
-	QueryScope    float64 `json:"query_scope,omitempty"`
-
-	// Trace linkage, set when a causal-trace capture runs alongside the
-	// metrics stream: TraceID is the capture's run id (tracer.FormatRunID)
-	// and TraceSeq the tracer's round sequence for this round, so a
-	// RoundRecord joins exactly one round window of the trace file.
-	TraceID  string `json:"trace_id,omitempty"`
-	TraceSeq int32  `json:"trace_seq,omitempty"`
-}
-
-// QueryRecord is one evaluated query in the event stream. ResponseMS is
-// -1 when no responder was reached (JSON cannot carry +Inf; see
-// ResponseMS / SetResponseMS).
-type QueryRecord struct {
-	// Label names the measurement batch the query belongs to (the
-	// MeasureQueries label, or a driver-chosen tag).
-	Label string `json:"label,omitempty"`
-	// Round is the optimization step the query was measured after.
-	Round int `json:"round"`
-	// Index is the query's position within its batch.
-	Index         int     `json:"index"`
-	Source        int     `json:"source"`
-	Scope         int     `json:"scope"`
-	Traffic       float64 `json:"traffic"`
-	ResponseMS    float64 `json:"response_ms"`
-	Transmissions int     `json:"transmissions"`
-	Duplicates    int     `json:"duplicates"`
-	CacheHits     int     `json:"cache_hits,omitempty"`
-	// TraceGUID is the causal-trace query GUID this flood's events carry
-	// (0 when tracing was off) — the join key into trace captures.
-	TraceGUID uint64 `json:"trace_guid,omitempty"`
-}
-
-// SetResponseMS stores a first-response time, mapping the evaluator's
-// +Inf ("no responder reached") to -1 so the record stays encodable.
-func (q *QueryRecord) SetResponseMS(ms float64) {
-	if math.IsInf(ms, 1) || math.IsNaN(ms) {
-		ms = -1
-	}
-	q.ResponseMS = ms
-}
-
-// Record is one decoded stream line: exactly one of the pointer fields
-// is set, per Type.
+// Record is one decoded stream line: exactly one of the payload fields
+// is set, per Type. The stream declares no round or query field: a
+// round or query payload is whatever value its producer emitted, kept
+// raw here for each reader to unmarshal into its own type.
 type Record struct {
-	Type  string       `json:"type"` // "round" | "query" | "snapshot"
-	Round *RoundRecord `json:"round,omitempty"`
-	Query *QueryRecord `json:"query,omitempty"`
+	Type  string          `json:"type"` // "round" | "query" | "snapshot"
+	Round json.RawMessage `json:"round,omitempty"`
+	Query json.RawMessage `json:"query,omitempty"`
 	// Snapshot carries a registry dump (one line per Stream.Snapshot
 	// call), typically emitted once at the end of a run.
 	Snapshot []Snapshot `json:"snapshot,omitempty"`
@@ -116,22 +36,31 @@ func NewStream(w io.Writer) *Stream {
 	return &Stream{enc: json.NewEncoder(w)}
 }
 
-// EmitRound writes one round record.
-func (s *Stream) EmitRound(r RoundRecord) { s.emit(Record{Type: "round", Round: &r}) }
+// line is a record as written: its round or query payload is the
+// caller's value, encoded in place.
+type line struct {
+	Type     string     `json:"type"`
+	Round    any        `json:"round,omitempty"`
+	Query    any        `json:"query,omitempty"`
+	Snapshot []Snapshot `json:"snapshot,omitempty"`
+}
 
-// EmitQuery writes one query record.
-func (s *Stream) EmitQuery(q QueryRecord) { s.emit(Record{Type: "query", Query: &q}) }
+// EmitRound writes one round record with r as its payload.
+func (s *Stream) EmitRound(r any) { s.emit(line{Type: "round", Round: r}) }
+
+// EmitQuery writes one query record with q as its payload.
+func (s *Stream) EmitQuery(q any) { s.emit(line{Type: "query", Query: q}) }
 
 // EmitSnapshot writes a registry snapshot record.
-func (s *Stream) EmitSnapshot(snaps []Snapshot) { s.emit(Record{Type: "snapshot", Snapshot: snaps}) }
+func (s *Stream) EmitSnapshot(snaps []Snapshot) { s.emit(line{Type: "snapshot", Snapshot: snaps}) }
 
-func (s *Stream) emit(rec Record) {
+func (s *Stream) emit(l line) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.err != nil {
 		return
 	}
-	s.err = s.enc.Encode(rec)
+	s.err = s.enc.Encode(l)
 }
 
 // Err returns the first write error, if any.

@@ -1,48 +1,58 @@
-package obs
+package obs_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"io"
 	"math"
 	"reflect"
 	"strings"
 	"testing"
+
+	"ace/internal/core"
+	"ace/internal/gnutella"
+	"ace/internal/obs"
 )
 
 // TestStreamRoundTrip pins the -metrics JSONL format: records written by
-// a Stream decode back bit-identically through the Decoder.
+// a Stream decode back bit-identically through the Decoder, each payload
+// into its producer's type.
 func TestStreamRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	s := NewStream(&buf)
+	s := obs.NewStream(&buf)
 
-	round := RoundRecord{
-		Round: 3, RebuildNanos: 1200, Phase3Nanos: 800, RepairNanos: 50,
+	round := core.StepReport{
+		RebuildNanos: 1200, Phase3Nanos: 800, RepairNanos: 50,
 		Probes: 40, Replacements: 7, KeptNew: 2, DeferredCuts: 1,
 		Abandoned: 1, Repairs: 3, ProbeTraffic: 812.5, ExchangeCost: 90210.25,
-		AvgDegree: 9.875, QueryTraffic: 123456.5, QueryResponse: 88.25, QueryScope: 400,
 	}
-	query := QueryRecord{
-		Label: "step3", Round: 3, Index: 12, Source: 77, Scope: 400,
-		Traffic: 4821.75, ResponseMS: 91.5, Transmissions: 512, Duplicates: 113, CacheHits: 4,
-	}
+	query := gnutella.NewQueryRecord("step3", 3, 12, 77, gnutella.QueryResult{
+		Scope: 400, TrafficCost: 4821.75, FirstResponse: 91.5, Transmissions: 512, Duplicates: 113, Lost: 4,
+	})
 	s.EmitRound(round)
 	s.EmitQuery(query)
-	s.EmitSnapshot([]Snapshot{{Name: "ace.test.stream", Kind: "counter", Value: 5}})
+	s.EmitSnapshot([]obs.Snapshot{{Name: "ace.test.stream", Kind: "counter", Value: 5}})
 	if err := s.Err(); err != nil {
 		t.Fatal(err)
 	}
 
-	recs, err := ReadAll(bytes.NewReader(buf.Bytes()))
+	recs, err := obs.ReadAll(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(recs) != 3 {
 		t.Fatalf("decoded %d records, want 3", len(recs))
 	}
-	if recs[0].Type != "round" || recs[0].Round == nil || !reflect.DeepEqual(*recs[0].Round, round) {
+	var gotRound core.StepReport
+	if recs[0].Type != "round" || json.Unmarshal(recs[0].Round, &gotRound) != nil || gotRound != round {
 		t.Fatalf("round record did not round-trip: %+v", recs[0])
 	}
-	if recs[1].Type != "query" || recs[1].Query == nil || !reflect.DeepEqual(*recs[1].Query, query) {
+	// FirstResponse travels as ResponseMS; the json:"-" field itself
+	// decodes as zero.
+	want := query
+	want.FirstResponse = 0
+	var gotQuery gnutella.QueryRecord
+	if recs[1].Type != "query" || json.Unmarshal(recs[1].Query, &gotQuery) != nil || !reflect.DeepEqual(gotQuery, want) {
 		t.Fatalf("query record did not round-trip: %+v", recs[1])
 	}
 	if recs[2].Type != "snapshot" || len(recs[2].Snapshot) != 1 || recs[2].Snapshot[0].Value != 5 {
@@ -60,28 +70,24 @@ func TestStreamRoundTrip(t *testing.T) {
 // reports +Inf for unanswered queries, JSON cannot carry it, the stream
 // stores -1.
 func TestQueryRecordInfResponse(t *testing.T) {
-	var q QueryRecord
-	q.SetResponseMS(math.Inf(1))
+	q := gnutella.NewQueryRecord("x", 0, 0, 0, gnutella.QueryResult{FirstResponse: math.Inf(1)})
 	if q.ResponseMS != -1 {
 		t.Fatalf("Inf mapped to %v, want -1", q.ResponseMS)
 	}
-	q.SetResponseMS(42.5)
-	if q.ResponseMS != 42.5 {
+	if q := gnutella.NewQueryRecord("x", 0, 0, 0, gnutella.QueryResult{FirstResponse: 42.5}); q.ResponseMS != 42.5 {
 		t.Fatalf("finite response mangled: %v", q.ResponseMS)
 	}
 
 	var buf bytes.Buffer
-	s := NewStream(&buf)
-	inf := QueryRecord{Label: "x"}
-	inf.SetResponseMS(math.Inf(1))
-	s.EmitQuery(inf)
+	s := obs.NewStream(&buf)
+	s.EmitQuery(q)
 	if err := s.Err(); err != nil {
 		t.Fatalf("emitting an unanswered query failed: %v", err)
 	}
 }
 
 func TestDecoderRejectsTypelessRecord(t *testing.T) {
-	_, err := ReadAll(strings.NewReader("{}\n"))
+	_, err := obs.ReadAll(strings.NewReader("{}\n"))
 	if err == nil {
 		t.Fatal("typeless record decoded")
 	}
@@ -99,9 +105,9 @@ func (w *errWriter) Write(p []byte) (int, error) {
 }
 
 func TestStreamStickyError(t *testing.T) {
-	s := NewStream(&errWriter{n: 1})
-	s.EmitRound(RoundRecord{Round: 1})
-	s.EmitRound(RoundRecord{Round: 2}) // dropped, must not panic
+	s := obs.NewStream(&errWriter{n: 1})
+	s.EmitRound(core.StepReport{Probes: 1})
+	s.EmitRound(core.StepReport{Probes: 2}) // dropped, must not panic
 	if s.Err() == nil {
 		t.Fatal("write error not surfaced")
 	}

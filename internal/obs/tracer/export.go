@@ -9,12 +9,11 @@ import (
 	"strconv"
 )
 
-// Export formats. WriteChrome emits Chrome trace-event JSON — loadable
+// Export format. WriteChrome emits Chrome trace-event JSON — loadable
 // directly in Perfetto (ui.perfetto.dev) or chrome://tracing, with one
-// track (tid) per ring, so shards render as parallel swimlanes.
-// WriteJSONL emits one event per line for jq-style processing. Both
-// embed the raw event fields in full, so ReadChrome/ReadJSONL round-trip
-// a Capture exactly (pinned by TestChromeRoundTrip).
+// track (tid) per ring, so shards render as parallel swimlanes. It
+// embeds the raw event fields in full, so ReadChrome round-trips a
+// Capture exactly (pinned by TestChromeRoundTrip).
 
 // chromeArgs carries the raw event fields through the Chrome "args"
 // object: ts/dur are exported in microseconds (the format's unit), so
@@ -134,94 +133,8 @@ func ReadChrome(r io.Reader) (Capture, error) {
 	return c, nil
 }
 
-// jsonlLine is one JSONL record: a meta header line, then one event per
-// line.
-type jsonlLine struct {
-	Type    string            `json:"type"` // "meta" | "event"
-	RunID   string            `json:"run_id,omitempty"`
-	Dropped uint64            `json:"dropped,omitempty"`
-	Tracks  map[string]string `json:"tracks,omitempty"`
-
-	Name  string  `json:"name,omitempty"`
-	Kind  uint8   `json:"kind,omitempty"`
-	TS    int64   `json:"ts,omitempty"`
-	Dur   int64   `json:"dur,omitempty"`
-	Round int32   `json:"round,omitempty"`
-	A     int32   `json:"a,omitempty"`
-	B     int32   `json:"b,omitempty"`
-	Track int32   `json:"track,omitempty"`
-	GUID  uint64  `json:"guid,omitempty"`
-	V     float64 `json:"v,omitempty"`
-}
-
-// WriteJSONL writes c as JSON lines: a meta header, then one event per
-// line in capture order.
-func WriteJSONL(w io.Writer, c Capture) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	meta := jsonlLine{Type: "meta", RunID: FormatRunID(c.RunID), Dropped: c.Dropped, Tracks: map[string]string{}}
-	for id, name := range c.Tracks {
-		meta.Tracks[strconv.Itoa(int(id))] = name
-	}
-	if err := enc.Encode(meta); err != nil {
-		return err
-	}
-	for _, ev := range c.Events {
-		if err := enc.Encode(jsonlLine{
-			Type: "event", Name: exportName(ev), Kind: uint8(ev.Kind),
-			TS: ev.TS, Dur: ev.Dur, Round: ev.Round,
-			A: ev.A, B: ev.B, Track: ev.Track, GUID: ev.GUID, V: ev.V,
-		}); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadJSONL parses a WriteJSONL stream back into a Capture.
-func ReadJSONL(r io.Reader) (Capture, error) {
-	c := Capture{Tracks: make(map[int32]string)}
-	dec := json.NewDecoder(r)
-	for {
-		var l jsonlLine
-		if err := dec.Decode(&l); err == io.EOF {
-			return c, nil
-		} else if err != nil {
-			return c, fmt.Errorf("tracer: jsonl trace: %w", err)
-		}
-		switch l.Type {
-		case "meta":
-			c.RunID, _ = ParseRunID(l.RunID)
-			c.Dropped = l.Dropped
-			for id, name := range l.Tracks {
-				if n, err := strconv.Atoi(id); err == nil {
-					c.Tracks[int32(n)] = name
-				}
-			}
-		case "event":
-			c.Events = append(c.Events, Event{
-				TS: l.TS, Dur: l.Dur, GUID: l.GUID, V: l.V,
-				Round: l.Round, A: l.A, B: l.B, Track: l.Track, Kind: Kind(l.Kind),
-			})
-		}
-	}
-}
-
-// ReadAny sniffs the format: a Chrome file is one JSON object holding
-// traceEvents; anything else is treated as JSONL.
-func ReadAny(r io.ReadSeeker) (Capture, error) {
-	c, err := ReadChrome(r)
-	if err == nil && (len(c.Events) > 0 || len(c.Tracks) > 0) {
-		return c, nil
-	}
-	if _, err := r.Seek(0, io.SeekStart); err != nil {
-		return Capture{}, err
-	}
-	return ReadJSONL(r)
-}
-
 // FormatRunID renders a run id as the hex token embedded in exports and
-// JSONL metric rows.
+// -metrics round lines.
 func FormatRunID(id uint64) string { return strconv.FormatUint(id, 16) }
 
 // ParseRunID parses FormatRunID's output.

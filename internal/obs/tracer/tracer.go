@@ -21,9 +21,9 @@
 // deterministic; nothing in the engine reads them back. The determinism
 // contract covers simulated state only.
 //
-// Sinks: Chrome trace-event JSON and JSONL plus the windowed HTTP
-// handler (export.go), the anomaly-triggered flight recorder
-// (flight.go), and the critical-path analyzer (analyze.go).
+// Sinks: Chrome trace-event JSON plus the windowed HTTP handler
+// (export.go), the anomaly-triggered flight recorder (flight.go), and
+// the critical-path analyzer (analyze.go).
 package tracer
 
 import (

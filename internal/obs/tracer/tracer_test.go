@@ -141,44 +141,6 @@ func TestChromeRoundTrip(t *testing.T) {
 	}
 }
 
-func TestJSONLRoundTrip(t *testing.T) {
-	want := roundTripCapture()
-	var buf bytes.Buffer
-	if err := WriteJSONL(&buf, want); err != nil {
-		t.Fatalf("WriteJSONL: %v", err)
-	}
-	got, err := ReadJSONL(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("ReadJSONL: %v", err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("jsonl round-trip mismatch:\n got %+v\nwant %+v", got, want)
-	}
-}
-
-func TestReadAnySniffsBothFormats(t *testing.T) {
-	want := roundTripCapture()
-	for _, tc := range []struct {
-		name  string
-		write func(*bytes.Buffer) error
-	}{
-		{"chrome", func(b *bytes.Buffer) error { return WriteChrome(b, want) }},
-		{"jsonl", func(b *bytes.Buffer) error { return WriteJSONL(b, want) }},
-	} {
-		var buf bytes.Buffer
-		if err := tc.write(&buf); err != nil {
-			t.Fatalf("%s write: %v", tc.name, err)
-		}
-		got, err := ReadAny(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			t.Fatalf("%s ReadAny: %v", tc.name, err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s ReadAny mismatch", tc.name)
-		}
-	}
-}
-
 func TestRunIDFormatRoundTrip(t *testing.T) {
 	for _, id := range []uint64{0, 1, 0xdeadbeef, ^uint64(0)} {
 		got, err := ParseRunID(FormatRunID(id))

@@ -39,14 +39,18 @@ type Oracle struct {
 	// allocation.
 	scratch sync.Pool
 
-	// Activity counters live in the obs registry (ace.physical.*) as
-	// always-on per-instance counters: an unconditional atomic add costs
-	// exactly what bespoke atomics would, Stats() keeps its meaning with
-	// observability off, and Snapshot aggregates across oracle instances
-	// under the shared names.
-	queries   *obs.Counter
-	dijkstras *obs.Counter
+	// Activity counts behind Stats and CacheSize, kept with
+	// observability off; the gated ace.physical.* counters sum them over
+	// every oracle.
+	queries   atomic.Uint64
+	dijkstras atomic.Uint64
 }
+
+// Process-wide totals over every oracle, gated like all obs instruments.
+var (
+	cQueries   = obs.NewCounter("ace.physical.queries")
+	cDijkstras = obs.NewCounter("ace.physical.dijkstras")
+)
 
 // Stats is a snapshot of oracle activity counters, for overhead reporting
 // and tests. Dijkstras counts distance-vector fills, one shortest-path
@@ -69,11 +73,7 @@ func (s Stats) HitRatio() float64 {
 // fills run over a copy of g frozen here, so g must not change
 // afterwards.
 func NewOracle(g *graph.Graph) *Oracle {
-	return &Oracle{
-		g: g, csr: graph.NewCSR(g), flat: make([]atomic.Pointer[[]float32], g.N()),
-		queries:   obs.NewAlwaysCounter("ace.physical.queries"),
-		dijkstras: obs.NewAlwaysCounter("ace.physical.dijkstras"),
-	}
+	return &Oracle{g: g, csr: graph.NewCSR(g), flat: make([]atomic.Pointer[[]float32], g.N())}
 }
 
 // N reports the number of physical nodes.
@@ -89,7 +89,8 @@ func (o *Oracle) Delay(u, v int) float64 {
 	if u == v {
 		return 0
 	}
-	o.queries.Inc()
+	o.queries.Add(1)
+	cQueries.Inc()
 	if p := o.flat[u].Load(); p != nil {
 		return float64((*p)[v])
 	}
@@ -117,7 +118,8 @@ func (o *Oracle) vector(src int) []float32 {
 	if !o.flat[src].CompareAndSwap(nil, &vec) {
 		return *o.flat[src].Load()
 	}
-	o.dijkstras.Inc()
+	o.dijkstras.Add(1)
+	cDijkstras.Inc()
 	return vec
 }
 
@@ -173,9 +175,9 @@ func (o *Oracle) Path(u, v int) []int {
 
 // Stats returns a snapshot of activity counters.
 func (o *Oracle) Stats() Stats {
-	return Stats{Queries: o.queries.Value(), Dijkstras: o.dijkstras.Value()}
+	return Stats{Queries: o.queries.Load(), Dijkstras: o.dijkstras.Load()}
 }
 
 // CacheSize reports the number of cached source vectors: every counted
 // fill published one, and none is ever evicted.
-func (o *Oracle) CacheSize() int { return int(o.dijkstras.Value()) }
+func (o *Oracle) CacheSize() int { return int(o.dijkstras.Load()) }

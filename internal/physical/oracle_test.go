@@ -5,7 +5,9 @@ import (
 	"sync"
 	"testing"
 
+	"ace/internal/fault"
 	"ace/internal/graph"
+	"ace/internal/obs"
 	"ace/internal/sim"
 	"ace/internal/topology"
 )
@@ -220,5 +222,28 @@ func TestConcurrentFillsPublishOnce(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestInstancesRegisterNoInstruments: oracles and fault injectors keep
+// their activity counts on the instance and share package-level
+// counters, so building many of them grows the process-wide registry
+// by nothing.
+func TestInstancesRegisterNoInstruments(t *testing.T) {
+	g := graph.New(4)
+	g.AddEdge(0, 1, 1)
+	g.AddEdge(1, 2, 1)
+	g.AddEdge(2, 3, 1)
+	before := len(obs.Default().Snapshot())
+	for i := 0; i < 1000; i++ {
+		NewOracle(g).Delay(0, 3)
+		in, err := fault.NewInjector(fault.Plan{Seed: int64(i + 1), LossRate: 0.5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		in.DropMessage(0, 0, 1, 0)
+	}
+	if after := len(obs.Default().Snapshot()); after != before {
+		t.Fatalf("registry grew from %d to %d instruments", before, after)
 	}
 }
