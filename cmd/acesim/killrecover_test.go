@@ -153,7 +153,8 @@ func TestKillRecover(t *testing.T) {
 
 // TestRestoreRejectsConflictingFlags pins the service-mode contract
 // that a restore adopts the checkpointed configuration and refuses
-// explicit flags that contradict it.
+// explicit flags that contradict it, and that flag values no run can
+// use exit 2 before anything runs.
 func TestRestoreRejectsConflictingFlags(t *testing.T) {
 	dir := t.TempDir()
 	if code := run([]string{"-seed", "3", "-peers", "120", "-phys", "400", "-steps", "2", "-checkpoint", dir}); code != 0 {
@@ -168,6 +169,13 @@ func TestRestoreRejectsConflictingFlags(t *testing.T) {
 		// checkpointed policy.
 		{"-restore", dir, "-policy", "bogus", "-replay-to", "3"},
 		{"-replay-to", "5"}, // -replay-to without -restore
+		// Negative counts are rejected like -every 0, restore or not.
+		{"-every", "0"},
+		{"-steps", "-2"},
+		{"-queries", "-3"},
+		{"-churnpeers", "-5"},
+		{"-restore", dir, "-steps", "-2"},
+		{"-restore", dir, "-replay-to", "-3"},
 	} {
 		if code := run(args); code != 2 {
 			t.Errorf("run(%v) exited %d, want 2", args, code)

@@ -138,6 +138,15 @@ func run(args []string) int {
 		fmt.Fprintln(os.Stderr, "acesim: -every must be at least 1")
 		return 2
 	}
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"steps", *steps}, {"queries", *queries}, {"churnpeers", *churnPeers}, {"replay-to", *replayTo}} {
+		if f.v < 0 {
+			fmt.Fprintf(os.Stderr, "acesim: -%s must not be negative\n", f.name)
+			return 2
+		}
+	}
 	if *replayTo != 0 && *restoreDir == "" {
 		fmt.Fprintln(os.Stderr, "acesim: -replay-to requires -restore")
 		return 2

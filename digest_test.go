@@ -52,23 +52,32 @@ type digestRow struct {
 	name   string
 	shards int
 	depth  int
+	policy ace.Policy
 	plan   fault.Plan
 	crash  float64 // share of departures that crash instead of leaving
 }
 
-// digestRows is the matrix: shards {0, 1, 8} × h {1, 2} × clean/faulty,
-// plus one run whose churn crashes half its departures, leaving debris
-// for rounds and floods to meet.
+// digestRows is the matrix: shards {0, 1, 8} × h {1, 2} × clean/faulty
+// under the random policy, plus one run whose churn crashes half its
+// departures, leaving debris for rounds and floods to meet, and clean
+// h=1 runs of the naive and closest policies on both engines.
 func digestRows() []digestRow {
+	rnd := ace.PolicyRandom
 	var rows []digestRow
 	for _, shards := range []int{0, 1, 8} {
 		for _, h := range []int{1, 2} {
 			rows = append(rows,
-				digestRow{name: fmt.Sprintf("shards%d/h%d/clean", shards, h), shards: shards, depth: h},
-				digestRow{name: fmt.Sprintf("shards%d/h%d/faulty", shards, h), shards: shards, depth: h, plan: digestPlan})
+				digestRow{name: fmt.Sprintf("shards%d/h%d/clean", shards, h), shards: shards, depth: h, policy: rnd},
+				digestRow{name: fmt.Sprintf("shards%d/h%d/faulty", shards, h), shards: shards, depth: h, policy: rnd, plan: digestPlan})
 		}
 	}
-	return append(rows, digestRow{name: "shards0/h1/crash-churn", depth: 1, crash: digestCrashDep})
+	rows = append(rows, digestRow{name: "shards0/h1/crash-churn", depth: 1, policy: rnd, crash: digestCrashDep})
+	for _, shards := range []int{0, 8} {
+		for _, p := range []ace.Policy{ace.PolicyNaive, ace.PolicyClosest} {
+			rows = append(rows, digestRow{name: fmt.Sprintf("shards%d/h1/clean-%s", shards, p), shards: shards, depth: 1, policy: p})
+		}
+	}
+	return rows
 }
 
 // TestTrajectoryDigests pins the determinism contract across changes:
@@ -150,6 +159,7 @@ func runDigest(t *testing.T, row digestRow) (string, digestTally) {
 		ace.WithSize(digestPhys, digestPeers),
 		ace.WithAvgDegree(digestDegree),
 		ace.WithDepth(row.depth),
+		ace.WithPolicy(row.policy),
 		ace.WithShards(row.shards),
 	)
 	if err != nil {
@@ -193,7 +203,7 @@ func runDigest(t *testing.T, row digestRow) (string, digestTally) {
 		Meta: snap.Meta{
 			Step: digestRounds, Seed: digestSeed,
 			PhysicalNodes: digestPhys, Peers: digestPeers, AvgDegree: digestDegree,
-			Depth: int64(row.depth), Shards: int64(row.shards), Policy: int64(ace.PolicyRandom),
+			Depth: int64(row.depth), Shards: int64(row.shards), Policy: int64(row.policy),
 			Queries: digestQueries, ChurnPeers: digestChurn,
 			Plan: row.plan, FaultOnset: 1, FaultAttached: inj != nil,
 			FaultBase: inj.Stats(),

@@ -224,6 +224,13 @@ func figure4Net(t *testing.T, aPos, bPos, hPos int) *overlay.Network {
 	return net
 }
 
+// figure4 applies the Figure-4 rules to the triangle a, b, h with its
+// three delays read from the oracle, as a proposal would carry them.
+func figure4(o *Optimizer, a, b, h overlay.PeerID, rep *StepReport) {
+	av := o.net.CostsFrom(a)
+	o.applyFigure4(a, b, h, av.To(h), av.To(b), o.net.CostsFrom(b).To(h), rep)
+}
+
 func TestFigure4bReplace(t *testing.T) {
 	// A=0, B=100, H=50: AH(50) < AB(100) → replace: cut A—B, add A—H.
 	net := figure4Net(t, 0, 100, 50)
@@ -234,7 +241,7 @@ func TestFigure4bReplace(t *testing.T) {
 		t.Fatalf("precondition: nonflooding(A) = %v, want [B=1]", st.NonFlooding)
 	}
 	var rep StepReport
-	o.applyFigure4(o.net.CostsFrom(0), 0, 1, 2, &rep)
+	figure4(o, 0, 1, 2, &rep)
 	if rep.Replacements != 1 {
 		t.Fatalf("report = %+v, want 1 replacement", rep)
 	}
@@ -257,7 +264,7 @@ func TestFigure4cKeepAndDeferredCut(t *testing.T) {
 	o := newOpt(t, net, 1)
 	o.RebuildTrees()
 	var rep StepReport
-	o.applyFigure4(o.net.CostsFrom(0), 0, 1, 2, &rep)
+	figure4(o, 0, 1, 2, &rep)
 	if rep.KeptNew != 1 || rep.Replacements != 0 {
 		t.Fatalf("report = %+v, want KeptNew=1", rep)
 	}
@@ -298,7 +305,7 @@ func TestFigure4dNoChange(t *testing.T) {
 	o.RebuildTrees()
 	edgesBefore := net.NumEdges()
 	var rep StepReport
-	o.applyFigure4(o.net.CostsFrom(0), 0, 1, 2, &rep)
+	figure4(o, 0, 1, 2, &rep)
 	if rep.Replacements+rep.KeptNew != 0 || net.NumEdges() != edgesBefore {
 		t.Fatalf("Figure 4(d) changed the overlay: %+v", rep)
 	}
@@ -309,7 +316,7 @@ func TestPendingCutAbandonedOnChurn(t *testing.T) {
 	o := newOpt(t, net, 1)
 	o.RebuildTrees()
 	var rep StepReport
-	o.applyFigure4(o.net.CostsFrom(0), 0, 1, 2, &rep) // case (c): pending (A,B,H)
+	figure4(o, 0, 1, 2, &rep) // case (c): pending (A,B,H)
 	if o.PendingCuts() != 1 {
 		t.Fatal("precondition: want one pending cut")
 	}

@@ -25,8 +25,18 @@ type diffSide struct {
 
 func newDiffSide(t *testing.T, seed int64, cfg Config) *diffSide {
 	t.Helper()
+	return newScaledSide(t, seed, cfg, 1)
+}
+
+// newScaledSide is newDiffSide with every physical link delay scaled:
+// the BA topology's MinDelay and DelayScale are both multiplied by scale.
+func newScaledSide(t *testing.T, seed int64, cfg Config, scale float64) *diffSide {
+	t.Helper()
 	rng := sim.NewRNG(seed)
-	phys, err := topology.GenerateBA(rng.Derive("phys"), topology.DefaultBASpec(400))
+	spec := topology.DefaultBASpec(400)
+	spec.MinDelay *= scale
+	spec.DelayScale *= scale
+	phys, err := topology.GenerateBA(rng.Derive("phys"), spec)
 	if err != nil {
 		t.Fatal(err)
 	}

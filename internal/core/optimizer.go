@@ -71,7 +71,6 @@ type Optimizer struct {
 	// Scratch buffers reused across rounds; valid only single-threaded.
 	aliveBuf []overlay.PeerID
 	dirtyBuf []overlay.PeerID
-	candBuf  []overlay.PeerID
 	dirtySet peerBitset
 	flipSet  peerBitset
 	flipBuf  []overlay.PeerID
@@ -593,13 +592,15 @@ func (o *Optimizer) exchangeCost(peers []overlay.PeerID) float64 {
 // and threaded through the whole round — rounds rewire edges but never
 // change liveness.
 //
-// With Config.Shards != 0 Phase 3 runs on the sharded engine (shard.go):
-// a parallel shard-local propose pass against the frozen network and a
-// serial cross-shard merge ordered by seed-derived keys. Its outcome is
-// a pure function of (state, seed) — identical for every shard count —
-// but not the same trajectory as the serial engine, whose peers act on
-// each other's mutations within the round. The phase spans wrap each
-// phase end-to-end, outside any fan-out, so StepReport's nanos stay
+// Both engines run one Phase-3 policy implementation: every peer
+// proposes through proposePeer and every proposal applies through
+// applyOne. Config.Shards chooses the apply order. The serial engine
+// (Shards == 0) applies each peer's proposals at once, so peer i+1 acts
+// on peer i's rewires. The sharded engine (shard.go) proposes in a
+// parallel pass against the frozen network and merges in the order of
+// seed-derived keys; its outcome is a pure function of (state, seed),
+// identical for every shard count. The phase spans wrap each phase
+// end-to-end, outside any fan-out, so StepReport's nanos stay
 // wall-clock.
 func (o *Optimizer) Round(rng *sim.RNG) StepReport {
 	// The obs spans are the single source of truth for phase timing:
@@ -626,10 +627,13 @@ func (o *Optimizer) Round(rng *sim.RNG) StepReport {
 	tts = o.traceNow()
 	sp = spanPhase3.Start()
 	o.executePendingCuts(&report)
+	// One draw seeds Phase 3 on either engine; each peer's stream and
+	// each merge key derive from it by hashing.
+	base := rng.Uint64()
 	if s > 0 {
-		o.phase3Sharded(rng, peers, s, &report)
+		o.phase3Sharded(base, peers, s, &report)
 	} else {
-		o.phase3Serial(rng, peers, &report)
+		o.phase3Serial(base, peers, &report)
 	}
 	report.Phase3Nanos = sp.End()
 	o.tracePhase(tracer.PhasePhase3, tts)
@@ -645,24 +649,24 @@ func (o *Optimizer) Round(rng *sim.RNG) StepReport {
 }
 
 // phase3Serial is the serial engine's Phase 3: each live peer in turn
-// runs the configured policy in place, acting on the rewires of the
-// peers before it.
-func (o *Optimizer) phase3Serial(rng *sim.RNG, peers []overlay.PeerID, report *StepReport) {
-	for _, p := range peers {
-		if !o.net.Alive(p) {
-			continue // cut as a side effect earlier in this round
-		}
-		st := o.state[p]
-		if st == nil || len(st.NonFlooding) == 0 {
-			continue
-		}
-		switch o.cfg.Policy {
-		case PolicyRandom:
-			o.phase3Random(rng, p, st, report)
-		case PolicyNaive:
-			o.phase3Naive(rng, p, st, report)
-		case PolicyClosest:
-			o.phase3Closest(p, st, report)
+// proposes against the network as the peers before it left it, and its
+// proposals apply at once through applyOne, which revalidates each. A
+// peer's own later proposal can therefore be voided by its earlier one
+// (same candidate, or the a—b link already cut); applyOne rejects it.
+// Probe traffic is summed per peer and folded in ascending peer order,
+// as the sharded engine folds it.
+func (o *Optimizer) phase3Serial(base uint64, peers []overlay.PeerID, report *StepReport) {
+	sh := o.ensureShards(1)[0]
+	sh.trace, sh.traceRound = o.ring0(), o.tr.round
+	for _, a := range peers {
+		sh.props = sh.props[:0]
+		t := o.proposePeer(a, base, sh)
+		report.ProbeTraffic += t.traffic
+		report.Probes += t.probes
+		report.ProbeTimeouts += t.timeouts
+		report.BlacklistHits += t.hits
+		for i := range sh.props {
+			o.applyOne(&sh.props[i], report)
 		}
 	}
 }
@@ -780,46 +784,13 @@ func (o *Optimizer) atCap(p overlay.PeerID) bool {
 	return o.cfg.MaxDegree > 0 && o.net.Degree(p) >= o.cfg.MaxDegree
 }
 
-// probe prices one Phase-3 delay measurement from a to candidate h; av
-// is a's cost view. It reports the measured cost and whether the probe
-// was answered — a timed-out probe is paid for but yields no reading,
-// so the caller skips the candidate.
-func (o *Optimizer) probe(av overlay.CostView, a, h overlay.PeerID, report *StepReport) (float64, bool) {
-	report.Probes++
-	c := av.To(h)
-	report.ProbeTraffic += probeCost * c
-	if inj := o.net.Faults(); inj != nil && inj.ProbeTimeout(int(a), int(h), 0) {
-		report.ProbeTimeouts++
-		traceInstant(o.ring0(), o.tr.round, tracer.KindProbeTimeout, int32(h), int32(a), 0)
-		return c, false
-	}
-	traceInstant(o.ring0(), o.tr.round, tracer.KindProbe, int32(a), int32(h), c)
-	return c, true
-}
-
 // applyFigure4 applies the paper's Figure-4 rules to candidate h drawn
-// from non-flooding neighbor b of peer a; av is a's cost view. It probes
-// a—h, then decides through applyFigure4Decided. The b—h delay is read
-// only when a—h does not already beat a—b: Figure 4(b) never compares
-// it, and reading it would fetch b's cost vector for nothing.
-func (o *Optimizer) applyFigure4(av overlay.CostView, a, b, h overlay.PeerID, report *StepReport) {
-	ah, ok := o.probe(av, a, h, report)
-	if !ok {
-		return // probe timed out: no reading to decide on
-	}
-	ab, bh := av.To(b), 0.0
-	if ah >= ab {
-		bh = o.net.CostsFrom(b).To(h)
-	}
-	o.applyFigure4Decided(a, b, h, ah, ab, bh, report)
-}
-
-// applyFigure4Decided applies the Figure-4 branch selection to a
-// triangle whose costs are already known. ab and bh are static physical
-// delays; the merge carries them inside the proposal (measured at
-// propose time, identical values), so applying a proposal touches no
-// cost view at all. bh is compared only when ah ≥ ab.
-func (o *Optimizer) applyFigure4Decided(a, b, h overlay.PeerID, ah, ab, bh float64, report *StepReport) {
+// from non-flooding neighbor b of peer a, given the triangle's costs: ah
+// is the probed a—h delay, ab and bh are static physical delays that the
+// proposal carries (measured at propose time, identical values), so
+// applying it touches no cost view at all. bh is compared only when
+// ah ≥ ab.
+func (o *Optimizer) applyFigure4(a, b, h overlay.PeerID, ah, ab, bh float64, report *StepReport) {
 	switch {
 	case ah < ab:
 		// Figure 4(b): closer candidate found — replace b by h. No
@@ -877,28 +848,17 @@ func (o *Optimizer) resolvePending(a, b overlay.PeerID, report *StepReport) {
 	}
 }
 
-// candidates lists the neighbors of b eligible to replace b for peer a:
-// alive, not a itself, not already connected to a, below the connection
-// ceiling (a saturated peer would refuse the dial, so probing it would
-// waste the attempt), and not dial-blacklisted (a peer that keeps
-// refusing connections is not worth another probe — each skip counts as
-// a blacklist hit). Used by the naive and closest policies,
-// which score multiple candidates per pair; the random policy
-// rejection-samples a single pick instead. Both adjacency lists are
-// sorted, so the already-connected filter is a linear merge against a's
-// list rather than a membership probe per candidate, and b is
-// disproportionately often a hub. The returned slice is a reused scratch
-// buffer, valid until the next candidates call.
-func (o *Optimizer) candidates(a, b overlay.PeerID, report *StepReport) []overlay.PeerID {
-	hits := 0
-	o.candBuf = o.candidatesInto(o.candBuf[:0], a, b, &hits)
-	report.BlacklistHits += hits
-	return o.candBuf
-}
-
-// candidatesInto is the allocation-free core of candidates, appending
-// into the caller's buffer and counting blacklist refusals into hits; the
-// sharded propose pass calls it with per-shard buffers.
+// candidatesInto appends to out the neighbors of b eligible to replace b
+// for peer a: alive, not a itself, not already connected to a, below the
+// connection ceiling (a saturated peer would refuse the dial, so probing
+// it would waste the attempt), and not dial-blacklisted (a peer that
+// keeps refusing connections is not worth another probe — each skip
+// counts into hits). The naive and closest policies score several
+// candidates per pair from it; the random policy rejection-samples a
+// single pick instead. Both adjacency lists are sorted, so the
+// already-connected filter is a linear merge against a's list rather than
+// a membership probe per candidate, and b is disproportionately often a
+// hub.
 func (o *Optimizer) candidatesInto(out []overlay.PeerID, a, b overlay.PeerID, hits *int) []overlay.PeerID {
 	an := o.net.NeighborsView(a)
 	for _, h := range o.net.NeighborsView(b) {
@@ -917,102 +877,6 @@ func (o *Optimizer) candidatesInto(out []overlay.PeerID, a, b overlay.PeerID, hi
 		}
 	}
 	return out
-}
-
-// phase3Random implements the paper's default policy: per optimization
-// step, each non-flooding neighbor is probed with one randomly selected
-// candidate from its neighbor list. The pick is rejection-sampled
-// directly from b's adjacency rather than materializing the filtered
-// candidate list (the dominant cost of a whole round when profiled —
-// O(deg(a)+deg(b)) per pair to then probe a single element): draw a
-// random neighbor of b, retry a few times if the draw is ineligible.
-// Conditioned on success this is the same uniform choice over eligible
-// candidates, and a peer that exhausts its draws simply skips the step,
-// as a real client would after picking only busy or already-known
-// peers from b's list.
-func (o *Optimizer) phase3Random(rng *sim.RNG, a overlay.PeerID, st *PeerState, report *StepReport) {
-	av := o.net.CostsFrom(a)
-	for _, b := range st.NonFlooding {
-		if !o.net.Alive(b) || !o.net.HasEdge(a, b) {
-			continue
-		}
-		nb := o.net.NeighborsView(b)
-		if len(nb) == 0 {
-			continue
-		}
-		for tries := 0; tries < 4; tries++ {
-			h := nb[rng.Intn(len(nb))]
-			if h == a || !o.net.Alive(h) || o.atCap(h) || o.net.HasEdge(a, h) {
-				continue
-			}
-			if o.blacklisted(h) {
-				report.BlacklistHits++
-				continue
-			}
-			o.applyFigure4(av, a, b, h, report)
-			break
-		}
-	}
-}
-
-// phase3Naive implements §6's naive policy: target the most expensive
-// non-flooding neighbor, probe a few random candidates, and replace the
-// target with the cheapest candidate found that improves on it.
-func (o *Optimizer) phase3Naive(rng *sim.RNG, a overlay.PeerID, st *PeerState, report *StepReport) {
-	av := o.net.CostsFrom(a)
-	var worst overlay.PeerID = -1
-	worstCost := -1.0
-	for _, b := range st.NonFlooding {
-		if !o.net.Alive(b) || !o.net.HasEdge(a, b) {
-			continue
-		}
-		if c := av.To(b); c > worstCost {
-			worst, worstCost = b, c
-		}
-	}
-	if worst < 0 {
-		return
-	}
-	cands := o.candidates(a, worst, report)
-	if len(cands) == 0 {
-		return
-	}
-	rng.Shuffle(len(cands), func(i, j int) { cands[i], cands[j] = cands[j], cands[i] })
-	if len(cands) > o.cfg.NaiveProbes {
-		cands = cands[:o.cfg.NaiveProbes]
-	}
-	best, bestCost := overlay.PeerID(-1), worstCost
-	for _, h := range cands {
-		if c, ok := o.probe(av, a, h, report); ok && c < bestCost {
-			best, bestCost = h, c
-		}
-	}
-	if best >= 0 {
-		o.replace(a, worst, best, report)
-	}
-}
-
-// phase3Closest implements §6's closest policy: probe every candidate of
-// every non-flooding neighbor and apply Figure 4 to the closest one.
-func (o *Optimizer) phase3Closest(a overlay.PeerID, st *PeerState, report *StepReport) {
-	av := o.net.CostsFrom(a)
-	bestB, bestH, bestCost := overlay.PeerID(-1), overlay.PeerID(-1), 0.0
-	for _, b := range st.NonFlooding {
-		if !o.net.Alive(b) || !o.net.HasEdge(a, b) {
-			continue
-		}
-		for _, h := range o.candidates(a, b, report) {
-			c, ok := o.probe(av, a, h, report)
-			if ok && (bestH < 0 || c < bestCost) {
-				bestB, bestH, bestCost = b, h, c
-			}
-		}
-	}
-	if bestH >= 0 {
-		// The closest candidate is already probed; the triangle's other
-		// two costs are the static delays the propose pass reads too.
-		o.applyFigure4Decided(a, bestB, bestH, bestCost, av.To(bestB), o.net.CostsFrom(bestB).To(bestH), report)
-	}
 }
 
 // TotalOverhead reports the accumulated probe + exchange traffic cost

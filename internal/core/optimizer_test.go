@@ -428,7 +428,7 @@ func TestNaivePolicyTargetsMostExpensive(t *testing.T) {
 		t.Fatalf("precondition: nonflooding(0) = %v, want two entries", st.NonFlooding)
 	}
 	var rep StepReport
-	o.phase3Naive(sim.NewRNG(50), 0, st, &rep)
+	o.phase3Serial(50, []overlay.PeerID{0}, &rep)
 	// Candidates of worst neighbor 3 are {2? already neighbor, 4}. Cost
 	// 0—4 = 210 > 200: no improvement, keep.
 	if net.HasEdge(0, 3) == false {
@@ -446,9 +446,59 @@ func TestNaivePolicyTargetsMostExpensive(t *testing.T) {
 	o2, _ := NewOptimizer(net2, cfg)
 	o2.RebuildTrees()
 	rep = StepReport{}
-	o2.phase3Naive(sim.NewRNG(51), 0, o2.State(0), &rep)
+	o2.phase3Serial(51, []overlay.PeerID{0}, &rep)
 	if rep.Replacements != 1 || net2.HasEdge(0, 3) || !net2.HasEdge(0, 4) {
 		t.Fatalf("naive policy should replace 3 with 4: %+v", rep)
+	}
+}
+
+// TestSerialRejectsSelfVoidedProposal pins what proposing before
+// applying means on the serial engine: a peer proposes for all its
+// non-flooding neighbors against the network as it stands, then applies
+// the proposals in order, so its earlier rewire can void its later
+// proposal. A(0) has non-flooding neighbors B1(2) and B2(3), and H(4)
+// is the only candidate either offers; Figure 4(b) replaces whichever B
+// comes first by H, and applyOne must turn the second proposal down
+// because A—H already exists. Both probes still count.
+func TestSerialRejectsSelfVoidedProposal(t *testing.T) {
+	// A=0 with flooding anchor F=1 beside it; B1=100, B2=101, H=50.
+	net := lineNet(t, []int{0, 1, 100, 101, 50})
+	net.Connect(0, 1) // A—F
+	net.Connect(0, 2) // A—B1
+	net.Connect(0, 3) // A—B2
+	net.Connect(1, 2) // F—B1 and B1—B2 take both Bs off A's tree
+	net.Connect(2, 3)
+	net.Connect(2, 4) // B1—H
+	net.Connect(3, 4) // B2—H
+	o := newOpt(t, net, 1)
+	o.RebuildTrees()
+	if nf := o.State(0).NonFlooding; !slices.Equal(nf, []overlay.PeerID{2, 3}) {
+		t.Fatalf("precondition: nonflooding(A) = %v, want [2 3]", nf)
+	}
+	// Find a round seed whose draws make both proposals pick H.
+	sh := o.ensureShards(1)[0]
+	base := uint64(1)
+	for ; ; base++ {
+		sh.props = sh.props[:0]
+		o.proposePeer(0, base, sh)
+		if len(sh.props) == 2 && sh.props[0].h == 4 && sh.props[1].h == 4 {
+			break
+		}
+		if base == 1000 {
+			t.Fatal("no seed in 1000 makes A propose H for both Bs")
+		}
+	}
+	edges := net.NumEdges()
+	var rep StepReport
+	o.phase3Serial(base, []overlay.PeerID{0}, &rep)
+	if rep.Probes != 2 || rep.Replacements != 1 || rep.KeptNew != 0 {
+		t.Fatalf("report = %+v, want 2 probes and 1 replacement", rep)
+	}
+	if net.HasEdge(0, 2) || !net.HasEdge(0, 3) || !net.HasEdge(0, 4) {
+		t.Fatalf("want A—B1 replaced by A—H and A—B2 kept; A's neighbors %v", net.Neighbors(0))
+	}
+	if net.NumEdges() != edges || net.Degree(0) != 3 {
+		t.Fatalf("edges %d → %d, deg(A) %d: the voided proposal changed the overlay", edges, net.NumEdges(), net.Degree(0))
 	}
 }
 
@@ -482,7 +532,7 @@ func TestPendingExperimentExpires(t *testing.T) {
 	o := newOpt(t, net, 1)
 	o.RebuildTrees()
 	var rep StepReport
-	o.applyFigure4(o.net.CostsFrom(0), 0, 1, 2, &rep)
+	figure4(o, 0, 1, 2, &rep)
 	if rep.KeptNew != 1 || !net.HasEdge(0, 2) {
 		t.Fatalf("precondition: %+v", rep)
 	}
@@ -531,8 +581,8 @@ func TestMaxPendingCapsExperiments(t *testing.T) {
 	}
 	var rep StepReport
 	for _, b := range st.NonFlooding {
-		for _, h := range o.candidates(0, b, &rep) {
-			o.applyFigure4(o.net.CostsFrom(0), 0, b, h, &rep)
+		for _, h := range o.candidatesInto(nil, 0, b, &rep.BlacklistHits) {
+			figure4(o, 0, b, h, &rep)
 		}
 	}
 	if got := len(o.pending[0]); got > MaxPending {

@@ -37,9 +37,10 @@ import (
 // protocol: real ACE peers run Phase 3 concurrently against the state
 // they observed at the last exchange, and conflicting rewires are
 // resolved by whoever commits first — here, deterministically, by merge
-// key. The serial engine (Config.Shards == 0) instead applies each
-// peer's step immediately, so the two engines produce different (both
-// valid) trajectories; DESIGN.md §5e discusses the divergence.
+// key. The serial engine (Config.Shards == 0) runs the same per-peer
+// proposePeer and applyOne, but applies each peer's proposals before the
+// next peer proposes, so the two engines produce different (both valid)
+// trajectories; DESIGN.md §5e discusses the divergence.
 
 // splitRNG is a zero-allocation splitmix64 stream (sim.SplitMix64, the
 // hash discipline internal/fault shares). Each proposing peer gets its
@@ -162,16 +163,15 @@ type peerTally struct {
 	traffic                float64
 }
 
-// proposal is one peer's Phase-3 intent, produced against the frozen
-// network and applied (or rejected) by the merge. Endpoints are
-// index-packed (peer ids fit 32 bits at any simulated scale) and the
-// triangle's three costs travel with the proposal: the oracle serves
-// float32 vectors, so the narrowed values widen back bit-exactly, and
-// the apply path never touches a cost view. 40 bytes instead of the 48
-// the id-sized struct took — and two fewer vector fetches per applied
-// proposal.
+// proposal is one peer's Phase-3 intent, produced by proposePeer and
+// applied (or rejected) by applyOne. Endpoints are index-packed (peer
+// ids fit 32 bits at any simulated scale) and the triangle's three costs
+// travel with the proposal: the oracle serves float32 vectors, so the
+// narrowed values widen back bit-exactly, and the apply path never
+// touches a cost view. 40 bytes instead of the 48 the id-sized struct
+// took — and two fewer vector fetches per applied proposal.
 type proposal struct {
-	key        uint64  // merge order, sm(seed, a, b)
+	key        uint64  // merge order, sm(seed, a, b); unset on the serial engine
 	ah, ab, bh float32 // probed a—h cost; static a—b, b—h delays
 	a, b, h    uint32  // proposer, targeted neighbor, candidate
 	kind       uint8
@@ -365,11 +365,9 @@ func (o *Optimizer) scanPostingsSharded(dst *peerBitset, endpoints []overlay.Pee
 }
 
 // phase3Sharded is the sharded engine's Phase 3: the propose fan-out,
-// then the merge.
-func (o *Optimizer) phase3Sharded(rng *sim.RNG, peers []overlay.PeerID, s int, report *StepReport) {
-	// One serial draw seeds the whole sharded Phase 3; everything after
-	// derives per-peer streams and merge keys from it by pure hashing.
-	base := rng.Uint64()
+// then the merge. base is the round's one Phase-3 draw; per-peer streams
+// and merge keys derive from it by pure hashing.
+func (o *Optimizer) phase3Sharded(base uint64, peers []overlay.PeerID, s int, report *StepReport) {
 	shards := o.proposePhase3(peers, base, s, report)
 	msp := spanShardMerge.Start()
 	o.mergeProposals(shards, report)
@@ -407,22 +405,7 @@ func (o *Optimizer) proposePhase3(peers []overlay.PeerID, base uint64, s int, re
 		}
 		ts := ringNow(sh.trace)
 		for i := lo; i < hi; i++ {
-			a := peers[i]
-			traffic[i] = 0
-			st := o.state[a]
-			if !o.net.Alive(a) || st == nil || len(st.NonFlooding) == 0 {
-				continue
-			}
-			r := splitRNG{s: sim.SplitMix64(base ^ (uint64(a)+1)*sim.Golden)}
-			var t peerTally
-			switch o.cfg.Policy {
-			case PolicyRandom:
-				o.proposeRandom(a, st, &r, sh, &t)
-			case PolicyNaive:
-				o.proposeNaive(a, st, &r, sh, &t)
-			case PolicyClosest:
-				o.proposeClosest(a, st, sh, &t)
-			}
+			t := o.proposePeer(peers[i], base, sh)
 			traffic[i] = t.traffic
 			sh.probes += t.probes
 			sh.probeTimeouts += t.timeouts
@@ -528,10 +511,33 @@ func foldRuns(bufs *[2][]proposal, shards []*shardState) []proposal {
 	return stream
 }
 
-// probePropose prices one propose-pass delay measurement from a to
-// candidate h — the sharded counterpart of probe(), accumulating into
-// the peer's tally instead of the shared report and tracing onto the
-// shard's own track.
+// proposePeer runs peer a's Phase-3 policy against the network as it
+// stands, under a's own splitmix64 stream seeded from (base, a): it
+// appends a's proposals to sh.props and returns a's probe tally. Both
+// engines reach the policies only through here.
+func (o *Optimizer) proposePeer(a overlay.PeerID, base uint64, sh *shardState) peerTally {
+	var t peerTally
+	st := o.state[a]
+	if !o.net.Alive(a) || st == nil || len(st.NonFlooding) == 0 {
+		return t
+	}
+	r := splitRNG{s: sim.SplitMix64(base ^ (uint64(a)+1)*sim.Golden)}
+	switch o.cfg.Policy {
+	case PolicyRandom:
+		o.proposeRandom(a, st, &r, sh, &t)
+	case PolicyNaive:
+		o.proposeNaive(a, st, &r, sh, &t)
+	case PolicyClosest:
+		o.proposeClosest(a, st, sh, &t)
+	}
+	return t
+}
+
+// probePropose prices one Phase-3 delay measurement from a to candidate
+// h; av is a's cost view. It accumulates into the peer's tally and
+// traces onto the shard's track, and reports the measured cost and
+// whether the probe was answered — a timed-out probe is paid for but
+// yields no reading, so the caller skips the candidate.
 func (o *Optimizer) probePropose(av overlay.CostView, a, h overlay.PeerID, t *peerTally, sh *shardState) (float64, bool) {
 	t.probes++
 	c := av.To(h)
@@ -547,25 +553,38 @@ func (o *Optimizer) probePropose(av overlay.CostView, a, h overlay.PeerID, t *pe
 
 // figure4Costs resolves the static a—b and b—h delays of a probed
 // triangle and reports whether the candidate can take a Figure-4(b) or
-// 4(c) branch at all: 4(d) — rejected because the candidate beats
-// neither a—b nor b—h — depends only on the oracle's static physical
-// costs and has no side effects in the apply path, so the propose pass
-// filters clear rejects here instead of shipping them through the
-// merge. After convergence most random candidates reject, so this is
-// what keeps the merge proportional to the accepted rewiring rate
-// rather than the population. The resolved costs travel in the proposal
-// so the apply path never refetches a cost vector.
+// 4(c) branch at all. It runs only after a—h's probe was answered: a—b
+// read before the random policy's draws would also cost a vector miss
+// for every b whose draws all fail. b—h is read only when a—h does not
+// beat a—b: Figure 4(b) never compares it, and reading it would fetch
+// b's cost vector for nothing. 4(d) — rejected because the candidate
+// beats neither a—b nor b—h — depends only on the oracle's static
+// physical costs and has no side effects in the apply path, so
+// proposing filters clear rejects here instead of shipping them through
+// the merge. After convergence most random candidates reject, so this is
+// what keeps the merge proportional to the accepted rewiring rate rather
+// than the population.
 func (o *Optimizer) figure4Costs(av overlay.CostView, b, h overlay.PeerID, ah float64) (ab, bh float64, actionable bool) {
 	ab = av.To(b)
+	if ah < ab {
+		return ab, 0, true
+	}
 	bh = o.net.CostsFrom(b).To(h)
-	return ab, bh, ah < ab || ah < bh
+	return ab, bh, ah < bh
 }
 
-// proposeRandom is the propose-pass half of phase3Random: the same
-// rejection-sampled candidate pick per non-flooding neighbor, but the
-// Figure-4 decision is deferred to the merge (the probed cost is
-// static, so deciding there is equivalent and sees the freshest
-// adjacency).
+// proposeRandom implements the paper's default policy: per optimization
+// step, each non-flooding neighbor b is probed with one randomly
+// selected candidate from its neighbor list, and the Figure-4 decision
+// is left to applyOne (the probed cost is static, so deciding there is
+// equivalent and sees the freshest adjacency). The pick is
+// rejection-sampled directly from b's adjacency rather than
+// materializing the filtered candidate list (O(deg(a)+deg(b)) per pair
+// to then probe a single element): draw a random neighbor of b, retry a
+// few times if the draw is ineligible. Conditioned on success this is
+// the same uniform choice over eligible candidates, and a peer that
+// exhausts its draws simply skips the step, as a real client would
+// after picking only busy or already-known peers from b's list.
 func (o *Optimizer) proposeRandom(a overlay.PeerID, st *PeerState, r *splitRNG, sh *shardState, t *peerTally) {
 	av := o.net.CostsFrom(a)
 	for _, b := range st.NonFlooding {
@@ -598,9 +617,10 @@ func (o *Optimizer) proposeRandom(a overlay.PeerID, st *PeerState, r *splitRNG, 
 	}
 }
 
-// proposeNaive is the propose-pass half of phase3Naive: target the most
-// expensive non-flooding neighbor, probe a few shuffled candidates, and
-// propose the best improvement found.
+// proposeNaive implements §6's naive policy: target the most expensive
+// non-flooding neighbor, probe a few shuffled candidates, and propose
+// replacing the target with the cheapest candidate found that improves
+// on it.
 func (o *Optimizer) proposeNaive(a overlay.PeerID, st *PeerState, r *splitRNG, sh *shardState, t *peerTally) {
 	av := o.net.CostsFrom(a)
 	var worst overlay.PeerID = -1
@@ -642,8 +662,9 @@ func (o *Optimizer) proposeNaive(a overlay.PeerID, st *PeerState, r *splitRNG, s
 	}
 }
 
-// proposeClosest is the propose-pass half of phase3Closest: probe every
-// candidate of every non-flooding neighbor and propose the closest.
+// proposeClosest implements §6's closest policy: probe every candidate
+// of every non-flooding neighbor and propose the closest one for the
+// Figure-4 decision.
 func (o *Optimizer) proposeClosest(a overlay.PeerID, st *PeerState, sh *shardState, t *peerTally) {
 	av := o.net.CostsFrom(a)
 	bestB, bestH, bestCost := overlay.PeerID(-1), overlay.PeerID(-1), 0.0
@@ -691,11 +712,12 @@ func (o *Optimizer) mergeProposals(shards []*shardState, report *StepReport) {
 }
 
 // applyOne revalidates one proposal against the live network (an earlier
-// merged proposal may have consumed the edge, saturated the candidate,
-// or blacklisted it) and applies it through the exact mutation paths the
-// serial engine uses. The triangle costs ride in the proposal — float32
-// round-trips of the oracle's float32 vectors, widened back bit-exactly
-// — so no cost vector is fetched here.
+// applied proposal may have consumed the edge, connected the candidate,
+// saturated it, or blacklisted it) and applies it through replace or
+// applyFigure4. Both engines apply every proposal here. The triangle
+// costs ride in the proposal — float32 round-trips of the oracle's
+// float32 vectors, widened back bit-exactly — so no cost vector is
+// fetched here.
 func (o *Optimizer) applyOne(pr *proposal, report *StepReport) {
 	a, b, h := overlay.PeerID(pr.a), overlay.PeerID(pr.b), overlay.PeerID(pr.h)
 	if !o.net.Alive(a) || !o.net.Alive(b) || !o.net.Alive(h) {
@@ -714,6 +736,6 @@ func (o *Optimizer) applyOne(pr *proposal, report *StepReport) {
 		// worst neighbor); the merge only applies it safely.
 		o.replace(a, b, h, report)
 	default:
-		o.applyFigure4Decided(a, b, h, float64(pr.ah), float64(pr.ab), float64(pr.bh), report)
+		o.applyFigure4(a, b, h, float64(pr.ah), float64(pr.ab), float64(pr.bh), report)
 	}
 }

@@ -345,11 +345,10 @@ func (k *Kernel) popWide() heapKey {
 // queueLen reports the number of in-flight messages.
 func (k *Kernel) queueLen() int { return len(k.heap) + len(k.wheap) }
 
-var kernelPool = sync.Pool{New: func() any { cKernelAllocs.Inc(); return NewKernel() }}
+var kernelPool = sync.Pool{New: func() any { return NewKernel() }}
 
 // AcquireKernel takes a kernel from the shared pool.
 func AcquireKernel() *Kernel {
-	cKernelAcquires.Inc()
 	return kernelPool.Get().(*Kernel)
 }
 

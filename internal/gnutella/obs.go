@@ -20,12 +20,6 @@ var (
 	// flood, heap.pushes + settled + lost = sends.
 	cSettled = obs.NewCounter("ace.gnutella.settled")
 
-	// Kernel arena turnover: acquires counts pool checkouts, allocs the
-	// pool misses that built a fresh kernel; their difference is arena
-	// reuse.
-	cKernelAcquires = obs.NewCounter("ace.gnutella.kernel.acquires")
-	cKernelAllocs   = obs.NewCounter("ace.gnutella.kernel.allocs")
-
 	// Fault effects on floods: messages the plan lost in transit and
 	// deliveries dropped because the target had crashed.
 	cMsgLost     = obs.NewCounter("ace.fault.msg.lost")

@@ -1,6 +1,8 @@
 package gnutella
 
 import (
+	"runtime"
+	"strings"
 	"testing"
 
 	"ace/internal/core"
@@ -67,4 +69,56 @@ func TestObserveFloodSettleConservation(t *testing.T) {
 		t.Fatal("flood over crash debris dead-lettered nothing")
 	}
 	flood("debris/tree", net, core.TreeForwarding{Opt: opt})
+}
+
+// TestFloodCountersIgnoreGC: a flood's registry footprint is a function
+// of the flood alone, so a fixed-seed run's snapshot repeats. The same
+// floods run twice with obs on, the second time with two garbage
+// collections before each flood, which empty the kernel pool (a
+// sync.Pool drops its items over two cycles); every ace.gnutella.*
+// instrument must move by the same amount in both batches.
+func TestFloodCountersIgnoreGC(t *testing.T) {
+	if !obs.Enabled() {
+		obs.Enable()
+		defer obs.Disable()
+	}
+	net, opt := diffNet(t, 24, 1)
+	srcs := net.AlivePeers()[:4]
+	// tally sums each ace.gnutella.* instrument's value, count and sum.
+	tally := func() map[string][3]int64 {
+		m := map[string][3]int64{}
+		for _, s := range obs.Default().Snapshot() {
+			if strings.HasPrefix(s.Name, "ace.gnutella.") {
+				v := m[s.Name]
+				m[s.Name] = [3]int64{v[0] + s.Value, v[1] + int64(s.Count), v[2] + int64(s.Sum)}
+			}
+		}
+		return m
+	}
+	batch := func(gc bool) map[string][3]int64 {
+		before := tally()
+		for _, src := range srcs {
+			if gc {
+				runtime.GC()
+				runtime.GC()
+			}
+			Evaluate(net, core.BlindFlooding{Net: net}, src, 1<<20, nil)
+			Evaluate(net, core.TreeForwarding{Opt: opt}, src, 1<<20, nil)
+		}
+		d := tally()
+		for name, v := range before {
+			w := d[name]
+			d[name] = [3]int64{w[0] - v[0], w[1] - v[1], w[2] - v[2]}
+		}
+		return d
+	}
+	warm, cold := batch(false), batch(true)
+	if warm["ace.gnutella.floods"][0] != int64(2*len(srcs)) {
+		t.Fatalf("floods moved by %d, want %d", warm["ace.gnutella.floods"][0], 2*len(srcs))
+	}
+	for name, w := range warm {
+		if c := cold[name]; c != w {
+			t.Errorf("%s moved by %v (value, count, sum) with a warm pool, %v with an emptied one", name, w, c)
+		}
+	}
 }
